@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qubit import PURE_NORM, _dot3, _pauli_dot, as_bloch_vector
+from .qubit import _EYE2, PURE_NORM, _dot3, _gamma, _pauli_dot, as_bloch_vector
 
 __all__ = [
     "DEGENERATE_NORM",
@@ -40,7 +40,6 @@ __all__ = [
 # triangle construction degenerates to a segment.
 DEGENERATE_NORM = 1e-12
 
-_EYE2 = np.eye(2, dtype=complex)
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
@@ -53,11 +52,6 @@ class Rapidity(NamedTuple):
 
 def _norm(x):
     return np.linalg.norm(x, axis=-1)
-
-
-def _gamma(r):
-    """Lorentz factor 1/sqrt(1 - r^2), evaluated as (1-r)(1+r) for accuracy."""
-    return 1.0 / np.sqrt((1.0 - r) * (1.0 + r))
 
 
 def rapidity_from_bloch(n) -> Rapidity:
@@ -117,14 +111,13 @@ def einstein_add(u, v) -> np.ndarray:
     gu = _gamma(ru)
     w = (u + v / gu[..., None] + (gu / (1.0 + gu) * dot)[..., None] * u) / denom[..., None]
     # Rounding may land an ulp outside the closed ball; pull back onto it.
-    # Division can itself round back above 1, so shave the stragglers.
+    # Division can itself round back above 1, so shave the stragglers by
+    # 1, 2, 4 and 8 ulps in turn: 15 ulps exceed any rounding in the norm.
     over = _norm(w) > 1.0
     if np.any(over):
         w = np.where(over[..., None], w / _norm(w)[..., None], w)
-        over = _norm(w) > 1.0
-        while np.any(over):
-            w = np.where(over[..., None], w * (1.0 - 2.0**-52), w)
-            over = _norm(w) > 1.0
+        for ulps in (1.0, 2.0, 4.0, 8.0):
+            w = np.where((_norm(w) > 1.0)[..., None], w * (1.0 - ulps * 2.0**-52), w)
     return w
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from .qubit import (
     _bloch_of,
     _dot3,
+    _gamma,
     as_bloch_vector,
     hermitian_eigenvalues,
     sqrt_density,
@@ -136,8 +137,8 @@ def lambda_roots(u, v) -> LambdaRoots:
     rv = np.linalg.norm(v, axis=-1)
     if np.any(ru >= 1.0) or np.any(rv >= 1.0):
         raise ValueError("pure input: the root formula needs finite rapidities")
-    gu = 1.0 / np.sqrt((1.0 - ru) * (1.0 + ru))
-    gv = 1.0 / np.sqrt((1.0 - rv) * (1.0 + rv))
+    gu = _gamma(ru)
+    gv = _gamma(rv)
     gw = gu * gv * (1.0 + _dot3(u, v))
     sinh_w = np.sqrt(np.maximum((gw - 1.0) * (gw + 1.0), 0.0))
     exp_plus = gw + sinh_w

@@ -10,6 +10,8 @@ All functions broadcast over leading axes: Bloch vectors have shape
 (..., 3) and matrices shape (..., 2, 2).
 """
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -50,6 +52,11 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 _EYE2 = np.eye(2, dtype=complex)
+
+
+def _gamma(r):
+    """Lorentz factor 1/sqrt(1 - r^2), evaluated as (1-r)(1+r) for accuracy."""
+    return 1.0 / np.sqrt((1.0 - r) * (1.0 + r))
 
 
 def as_bloch_vector(n) -> np.ndarray:
@@ -112,7 +119,7 @@ def validate_density_matrix(rho) -> np.ndarray:
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
     if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
         raise ValueError("density matrix has non-finite entries")
-    skew = np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))))
+    skew = np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))), initial=0.0)
     if skew > _HERMITIAN_TOL:
         raise ValueError(f"density matrix is not Hermitian (max |m - m^dag| = {float(skew):.3e})")
     trace = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
@@ -140,7 +147,7 @@ def hermitian_eigenvalues(m):
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    skew = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))))
+    skew = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
     if skew > _EIG_HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (max |m - m^dag| = {float(skew):.3e})")
     a = m[..., 0, 0].real
@@ -172,7 +179,7 @@ def sqrt_density(rho) -> np.ndarray:
     r = np.linalg.norm(n, axis=-1)
 
     r_safe = np.minimum(r, PURE_NORM)
-    g = 1.0 / np.sqrt((1.0 - r_safe) * (1.0 + r_safe))
+    g = _gamma(r_safe)
     alpha_closed = np.sqrt((1.0 + g) / (4.0 * g))
     vec_closed = (alpha_closed * g / (1.0 + g))[..., None] * n
 
@@ -193,7 +200,7 @@ def sqrt_density(rho) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Deterministic sampling.
 #
-# Trials must be bit-reproducible for any execution order or worker
+# Trials must be bit-reproducible for any execution order or block
 # partitioning, so randomness is a pure function of (seed, stream, index)
 # rather than sequential generator state: each needed 64-bit word is the
 # splitmix64 output at an explicit counter position.
@@ -226,11 +233,16 @@ def _unit_interval(words) -> np.ndarray:
     return (words >> np.uint64(11)) * (2.0 ** -53)
 
 
-def _check_seed(seed) -> int:
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+# Largest index plus one: each index owns the four counter positions
+# 4i .. 4i + 3, which must not wrap around 2**64.
+_INDEX_LIMIT = 2**62
+
+
+def _check_int(value, name: str, lo: int, hi: int) -> int:
+    """Return value as an int in [lo, hi); bools, floats and all else raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value < hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+    return int(value)
 
 
 def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndarray:
@@ -242,20 +254,21 @@ def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndar
     Args:
         seed: unsigned 64-bit integer.
         regime: one of REGIMES.
-        indices: non-negative integer or array of indices.
-        stream: small integer separating independent sequences that share
-            a seed (a sweep uses stream 0 for the left state, 1 for the
-            right).
+        indices: integer or array of integers in [0, 2**62).
+        stream: unsigned 64-bit integer separating independent sequences
+            that share a seed (a sweep uses stream 0 for the left state,
+            1 for the right).
 
     Returns:
         Array of shape indices.shape + (3,).
     """
-    seed = _check_seed(seed)
+    seed = _check_int(seed, "seed", 0, 2**64)
+    stream = _check_int(stream, "stream", 0, 2**64)
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer) or np.any(idx < 0):
-        raise ValueError("indices must be non-negative integers")
+    if not np.issubdtype(idx.dtype, np.integer) or np.any(idx < 0) or np.any(idx >= _INDEX_LIMIT):
+        raise ValueError("indices must be integers in [0, 2**62)")
     scalar = idx.ndim == 0
     idx = np.atleast_1d(idx).astype(np.uint64)
 

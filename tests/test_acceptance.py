@@ -13,7 +13,7 @@ import numpy as np
 from conftest import fidelity_brute, random_rotations
 
 import buresgeo as bg
-from buresgeo import cli
+from buresgeo import cli, verify
 
 NONPURE = ("uniform_ball", "near_pure", "near_mixed")
 TRIALS = 100_000
@@ -251,7 +251,7 @@ def test_criterion_6_structural_identities():
     _report(6, "structural identities", not failures, f"({'; '.join(failures) or 'ok'})")
 
 
-def test_criterion_7_determinism(capsys):
+def test_criterion_7_determinism(capsys, monkeypatch):
     args = [
         "verify", "--seed", "424242", "--trials", "20000",
         "--regime-u", "near_pure", "--regime-v", "uniform_ball",
@@ -266,21 +266,22 @@ def test_criterion_7_determinism(capsys):
 
     runs_identical = strip(first) == strip(second) and first != second
 
-    base = bg.sweep(424242, 20000, "near_pure", "uniform_ball", workers=1)
-    workers_identical = all(
-        dataclasses.replace(bg.sweep(424242, 20000, "near_pure", "uniform_ball", workers=w), elapsed_seconds=0.0)
-        == dataclasses.replace(base, elapsed_seconds=0.0)
-        for w in (2, 4)
-    )
+    def sweep_with_block(block):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        summary = bg.sweep(424242, 20000, "near_pure", "uniform_ball")
+        return dataclasses.replace(summary, elapsed_seconds=0.0)
+
+    base = sweep_with_block(20000)
+    blocks_identical = all(sweep_with_block(block) == base for block in (1000, 4096))
     parsed = json.loads(first)["result"]
     sampler_consistent = parsed["worst_u"] == list(
         bg.random_bloch_indexed(424242, "near_pure", parsed["worst_index"], stream=0)
     )
 
-    ok = runs_identical and workers_identical and sampler_consistent
+    ok = runs_identical and blocks_identical and sampler_consistent
     _report(
         7,
-        "determinism across runs and workers",
+        "determinism across runs and block partitions",
         ok,
-        f"(runs={runs_identical}, workers={workers_identical}, sampler={sampler_consistent})",
+        f"(runs={runs_identical}, blocks={blocks_identical}, sampler={sampler_consistent})",
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from conftest import assert_close_scaled, disk_distance_mobius, regime_pairs
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
@@ -364,3 +364,20 @@ def test_einstein_norm_symmetry_property(ux, uy, uz, vx, vy, vz):
     forward = bg.bloch_norm(bg.einstein_add(u, v))
     backward = bg.bloch_norm(bg.einstein_add(v, u))
     assert abs(forward - backward) <= 1e-12
+
+
+_DIRECTION = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(lambda d: np.linalg.norm(d) > 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    du=_DIRECTION,
+    dv=_DIRECTION,
+    gap_u=st.floats(1e-15, 1e-6),
+    gap_v=st.one_of(st.just(0.0), st.floats(1e-15, 1e-6)),
+)
+def test_einstein_sum_stays_in_ball_near_sphere(du, dv, gap_u, gap_v):
+    u = du / np.linalg.norm(du) * (1.0 - gap_u)
+    v = dv / np.linalg.norm(dv) * (1.0 - gap_v)
+    assume(bg.bloch_norm(u) < 1.0 and 1.0 + np.dot(u, v) > 1e-12)
+    assert bg.bloch_norm(bg.einstein_add(u, v)) <= 1.0

@@ -240,3 +240,38 @@ def test_closed_form_symmetry_property(ux, uy, uz, vx, vy, vz):
     u = np.array([ux, uy, uz])
     v = np.array([vx, vy, vz])
     assert bg.bures_fidelity_closed(u, v) == bg.bures_fidelity_closed(v, u)
+
+
+_N0 = np.empty((0, 3))
+_RHO0 = np.empty((0, 2, 2))
+_RAP0 = bg.Rapidity(_N0, np.empty(0))
+
+EMPTY_BATCH_CALLS = {
+    "as_bloch_vector": lambda: bg.as_bloch_vector(_N0),
+    "bloch_norm": lambda: bg.bloch_norm(_N0),
+    "density_from_bloch": lambda: bg.density_from_bloch(_N0),
+    "bloch_from_density": lambda: bg.bloch_from_density(_RHO0),
+    "validate_density_matrix": lambda: bg.validate_density_matrix(_RHO0),
+    "hermitian_eigenvalues": lambda: bg.hermitian_eigenvalues(_RHO0),
+    "sqrt_density": lambda: bg.sqrt_density(_RHO0),
+    "random_bloch_indexed": lambda: bg.random_bloch_indexed(1, "uniform_ball", np.arange(0)),
+    "trace_distance_matrix": lambda: bg.trace_distance_matrix(_RHO0, _RHO0),
+    "trace_distance_bloch": lambda: bg.trace_distance_bloch(_N0, _N0),
+    "bures_fidelity_matrix": lambda: bg.bures_fidelity_matrix(_RHO0, _RHO0),
+    "bures_fidelity_closed": lambda: bg.bures_fidelity_closed(_N0, _N0),
+    "lambda_roots": lambda: bg.lambda_roots(_N0, _N0),
+    "rapidity_from_bloch": lambda: bg.rapidity_from_bloch(_N0),
+    "bloch_from_rapidity": lambda: bg.bloch_from_rapidity(_RAP0),
+    "lorentz_boost": lambda: bg.lorentz_boost(_RAP0),
+    "einstein_add": lambda: bg.einstein_add(_N0, _N0),
+    "gamma_composition": lambda: bg.gamma_composition(_N0, _N0),
+    "fidelity_hyperbolic": lambda: bg.fidelity_hyperbolic(_N0, _N0),
+    "disk_distance": lambda: bg.disk_distance(np.empty((0, 2)), np.empty((0, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_BATCH_CALLS))
+def test_empty_batch_gives_empty_result(name):
+    result = EMPTY_BATCH_CALLS[name]()
+    for part in result if isinstance(result, tuple) else (result,):
+        assert np.shape(part)[0] == 0, name

@@ -271,6 +271,30 @@ class TestRandomBloch:
         words = _splitmix_at(np.uint64(12345), np.arange(1000, dtype=np.uint64))
         assert len(np.unique(words)) == 1000
 
+    @pytest.mark.parametrize("seed", [True, 1.0, "1"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            bg.random_bloch(seed, "uniform_ball")
+
+    @pytest.mark.parametrize("stream", [-1, 2**64, True, 1.5])
+    def test_rejects_bad_stream(self, stream):
+        with pytest.raises(ValueError, match="stream"):
+            bg.random_bloch_indexed(1, "uniform_ball", 0, stream=stream)
+
+    def test_max_stream_works(self):
+        bg.random_bloch_indexed(1, "uniform_ball", 0, stream=2**64 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(index=st.integers(0, 2**62 - 1), high=st.integers(2**62, 2**64 - 1))
+def test_rejects_indices_that_would_wrap(index, high):
+    # Index i owns counters 4i .. 4i + 3, so i + 2**62 would alias i.
+    bg.random_bloch_indexed(9, "uniform_ball", index)
+    with pytest.raises(ValueError, match="indices"):
+        bg.random_bloch_indexed(9, "uniform_ball", high)
+    with pytest.raises(ValueError, match="indices"):
+        bg.random_bloch_indexed(9, "uniform_ball", np.array([index, high], dtype=np.uint64))
+
 
 @settings(max_examples=100, deadline=None)
 @given(

@@ -1,15 +1,39 @@
 """Tests for cross-route reports and deterministic sweeps."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import buresgeo as bg
+from buresgeo import verify
 
 
 def _strip_elapsed(summary):
     return dataclasses.replace(summary, elapsed_seconds=0.0)
+
+
+def _single_call_summary(seed, trials, regime_u, regime_v):
+    """The summary of one _route_spread call over the whole index range."""
+    idx = np.arange(trials)
+    u = bg.random_bloch_indexed(seed, regime_u, idx, stream=0)
+    v = bg.random_bloch_indexed(seed, regime_v, idx, stream=1)
+    diffs = verify._route_spread(u, v)
+    worst = int(np.argmax(diffs))
+    return bg.SweepSummary(
+        trials=trials,
+        seed=seed,
+        regime_u=regime_u,
+        regime_v=regime_v,
+        max_diff=float(diffs[worst]),
+        mean_diff=math.fsum(diffs) / trials,
+        p99_diff=float(np.percentile(diffs, 99.0)),
+        worst_u=tuple(float(x) for x in u[worst]),
+        worst_v=tuple(float(x) for x in v[worst]),
+        worst_index=worst,
+        elapsed_seconds=0.0,
+    )
 
 
 class TestCompare:
@@ -75,11 +99,20 @@ class TestSweep:
         assert first.elapsed_seconds != 0.0
         assert _strip_elapsed(first) == _strip_elapsed(second)
 
-    @pytest.mark.parametrize("workers", [2, 3, 7])
-    def test_worker_count_invariant(self, workers):
-        base = bg.sweep(123, 5000, "near_pure", "near_mixed", workers=1)
-        split = bg.sweep(123, 5000, "near_pure", "near_mixed", workers=workers)
-        assert _strip_elapsed(base) == _strip_elapsed(split)
+    @pytest.mark.parametrize("block", [7, 1000, 4096])
+    def test_block_partition_invariant(self, monkeypatch, block):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        cases = [(trials, "near_pure", "near_mixed") for trials in (block - 1, block, 5000)]
+        cases += [(block + 1, ru, rv) for ru in bg.REGIMES for rv in bg.REGIMES]
+        for trials, regime_u, regime_v in cases:
+            expected = _single_call_summary(123, trials, regime_u, regime_v)
+            summary = bg.sweep(123, trials, regime_u, regime_v)
+            assert _strip_elapsed(summary) == expected, (trials, regime_u, regime_v)
+
+    def test_default_block_boundaries(self):
+        for trials in (verify._BLOCK - 1, verify._BLOCK, verify._BLOCK + 1):
+            expected = _single_call_summary(321, trials, "near_pure", "near_mixed")
+            assert _strip_elapsed(bg.sweep(321, trials, "near_pure", "near_mixed")) == expected
 
     def test_worst_pair_matches_indexed_sampler(self):
         summary = bg.sweep(17, 2000, "uniform_ball", "uniform_ball")
@@ -105,7 +138,20 @@ class TestSweep:
             bg.sweep(1, 0, "uniform_ball", "uniform_ball")
         with pytest.raises(ValueError, match="regime"):
             bg.sweep(1, 10, "uniform_ball", "gibbs")
-        with pytest.raises(ValueError, match="workers"):
-            bg.sweep(1, 10, "uniform_ball", "uniform_ball", workers=0)
         with pytest.raises(ValueError, match="seed"):
             bg.sweep(-1, 10, "uniform_ball", "uniform_ball")
+
+    @pytest.mark.parametrize("trials", [2.7, 2.0, True, "3", None])
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer in"):
+            bg.sweep(1, trials, "uniform_ball", "uniform_ball")
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "1"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            bg.sweep(seed, 10, "uniform_ball", "uniform_ball")
+
+    def test_accepts_numpy_integers(self):
+        summary = bg.sweep(np.uint64(5), np.int64(3), "uniform_ball", "uniform_ball")
+        assert _strip_elapsed(summary) == _strip_elapsed(bg.sweep(5, 3, "uniform_ball", "uniform_ball"))
+        assert type(summary.seed) is int and type(summary.trials) is int
