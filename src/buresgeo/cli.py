@@ -7,6 +7,7 @@ consistency failure, 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -160,7 +161,10 @@ def _cmd_verify(args) -> int:
         raise _UsageError("--trials must be at least 1")
     if not args.tolerance > 0.0:
         raise _UsageError("--tolerance must be positive")
-    summary = verify_mod.sweep(args.seed, args.trials, args.regime_u, args.regime_v)
+    try:
+        summary = verify_mod.sweep(args.seed, args.trials, args.regime_u, args.regime_v)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     result = {
         "trials": summary.trials,
         "seed": summary.seed,
@@ -192,7 +196,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first main() call and reused: parse_args keeps no state
+    # between calls, and importing the module stays as cheap as before.
     parser = argparse.ArgumentParser(
         prog="buresgeo",
         description="Bures fidelity between qubit states, three ways, cross-verified.",
@@ -223,10 +230,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VECTOR_FLAGS = ("--u", "--v")
+
+
+def _join_vector_flags(argv) -> list:
+    """Rewrite each ``--u X`` / ``--v X`` pair as ``--u=X``.
+
+    argparse takes a separate value that starts with '-' and a digit,
+    such as -0.5,0,0, for an option and rejects it; the joined form is
+    always read as the flag's value.
+    """
+    out = []
+    args = iter(argv)
+    for arg in args:
+        if arg in _VECTOR_FLAGS:
+            value = next(args, None)
+            out.append(arg if value is None else f"{arg}={value}")
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_join_vector_flags(argv))
     except SystemExit as exc:
         # argparse has already written its diagnostic; fold --help to 0.
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

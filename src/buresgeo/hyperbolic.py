@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qubit import _EYE2, PURE_NORM, _dot3, _gamma, _pauli_dot, as_bloch_vector
+from .qubit import PURE_NORM, _checked_bloch, _dot3, _gamma, _hermitian2, as_bloch_vector
 
 __all__ = [
     "DEGENERATE_NORM",
@@ -87,7 +87,8 @@ def lorentz_boost(rep: Rapidity) -> np.ndarray:
         raise ValueError("pure state: the boost matrix diverges at phi = +inf")
     ch = np.cosh(phi)
     sh = np.sinh(phi)
-    return ch[..., None, None] * _EYE2 + _pauli_dot(sh[..., None] * direction)
+    dx, dy, dz = (sh * direction[..., k] for k in range(3))
+    return _hermitian2(ch + dz, ch - dz, dx, -dy)
 
 
 def einstein_add(u, v) -> np.ndarray:
@@ -136,6 +137,17 @@ def gamma_composition(u, v):
     return (_gamma(ru) * _gamma(rv) * (1.0 + _dot3(u, v)))[()]
 
 
+def _hyperbolic_fidelity(dot, ru, rv):
+    """Rapidity-route kernel from u.v and the two norms, both <= PURE_NORM."""
+    gu = _gamma(ru)
+    gv = _gamma(rv)
+    gw = gu * gv * (1.0 + dot)
+    fid = (1.0 + gw) / (2.0 * gu * gv)
+    if ((fid < -1e-12) | (fid > 1.0 + 1e-12)).any():
+        raise ValueError("hyperbolic fidelity left [0, 1]; inputs are inconsistent")
+    return np.clip(fid, 0.0, 1.0)[()]
+
+
 def fidelity_hyperbolic(u, v):
     """Bures fidelity via rapidities: cosh^2(phi_w/2) / (cosh phi_u cosh phi_v).
 
@@ -146,22 +158,14 @@ def fidelity_hyperbolic(u, v):
     Requires |u|, |v| <= PURE_NORM; route pure states through
     bures_fidelity_closed, which is exact there.
     """
-    u = as_bloch_vector(u)
-    v = as_bloch_vector(v)
-    ru = _norm(u)
-    rv = _norm(v)
+    u, ru = _checked_bloch(u)
+    v, rv = _checked_bloch(v)
     if np.any(ru > PURE_NORM) or np.any(rv > PURE_NORM):
         raise ValueError(
             "input too close to pure for the rapidity route (|n| > 1 - 1e-9); "
             "use bures_fidelity_closed"
         )
-    gu = _gamma(ru)
-    gv = _gamma(rv)
-    gw = gu * gv * (1.0 + _dot3(u, v))
-    fid = (1.0 + gw) / (2.0 * gu * gv)
-    if np.any(fid < -1e-12) or np.any(fid > 1.0 + 1e-12):
-        raise ValueError("hyperbolic fidelity left [0, 1]; inputs are inconsistent")
-    return np.clip(fid, 0.0, 1.0)[()]
+    return _hyperbolic_fidelity(_dot3(u, v), ru, rv)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,12 @@ definitions (trace norm of the difference, trace of the square root of
 sqrt(rho1) rho2 sqrt(rho1)) and closed forms in the Bloch vectors.  The
 third, hyperbolic route lives in :mod:`buresgeo.hyperbolic`; the three
 are cross-checked by :mod:`buresgeo.verify`.
+
+Each public function validates its inputs once and hands them to a
+private kernel (``_matrix_fidelity``, ``_closed_fidelity``,
+``_trace_distance``) that trusts its arrays.  The matrix kernel works
+from density-matrix entries and the product sqrt(rho1) rho2 sqrt(rho1)
+written out entry by entry; it never uses the Bloch closed form.
 """
 
 from typing import NamedTuple
@@ -12,13 +18,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .qubit import (
-    _bloch_of,
+    _bloch_of_entries,
+    _checked_bloch,
+    _checked_density,
     _dot3,
+    _eig2,
     _gamma,
-    as_bloch_vector,
-    hermitian_eigenvalues,
-    sqrt_density,
-    validate_density_matrix,
+    _norm3,
+    _sqrt_entries,
+    _xyz,
 )
 
 __all__ = [
@@ -54,8 +62,9 @@ class LambdaRoots(NamedTuple):
 def _clamp_unit(x, what: str):
     """Snap values within UNIT_SLACK of [0, 1] onto it; reject anything worse."""
     x = np.asarray(x)
-    if np.any(x < -UNIT_SLACK) or np.any(x > 1.0 + UNIT_SLACK):
-        bad = x[(x < -UNIT_SLACK) | (x > 1.0 + UNIT_SLACK)]
+    outside = (x < -UNIT_SLACK) | (x > 1.0 + UNIT_SLACK)
+    if outside.any():
+        bad = x[outside]
         raise ValueError(f"{what} {float(bad.flat[0])!r} lies outside [0, 1]")
     return np.clip(x, 0.0, 1.0)[()]
 
@@ -72,24 +81,71 @@ def trace_distance_matrix(rho1, rho2):
     The difference is traceless Hermitian, so the distance is the sum of
     the absolute eigenvalues over two.  Always lies in [0, 1].
     """
-    rho1 = validate_density_matrix(rho1)
-    rho2 = validate_density_matrix(rho2)
-    lo, hi = hermitian_eigenvalues(rho1 - rho2)
+    _, (a1, d1, b1_re, b1_im) = _checked_density(rho1)
+    _, (a2, d2, b2_re, b2_im) = _checked_density(rho2)
+    lo, hi = _eig2(a1 - a2, d1 - d2, b1_re - b2_re, b1_im - b2_im)
     return 0.5 * (np.abs(lo) + np.abs(hi))
+
+
+def _trace_distance(u, v):
+    ux, uy, uz = _xyz(u)
+    vx, vy, vz = _xyz(v)
+    return 0.5 * _norm3(ux - vx, uy - vy, uz - vz)
 
 
 def trace_distance_bloch(u, v):
     """Half the Euclidean distance between the Bloch vectors."""
-    u = as_bloch_vector(u)
-    v = as_bloch_vector(v)
-    return 0.5 * np.linalg.norm(u - v, axis=-1)
+    return _trace_distance(_checked_bloch(u)[0], _checked_bloch(v)[0])
+
+
+def _sandwich(root, rho):
+    """Entries of R rho R for Hermitian R and rho, both given as entries.
+
+    With R = [[p, q], [conj(q), s]] and rho = [[a, b], [conj(b), d]]:
+
+        (R rho R)_00 = p^2 a + 2 p Re(q conj(b)) + |q|^2 d
+        (R rho R)_11 = |q|^2 a + 2 s Re(q conj(b)) + s^2 d
+        (R rho R)_01 = q (p a + s d) + q^2 conj(b) + p s b
+
+    The product is Hermitian by construction, so no symmetrization is
+    needed.
+    """
+    p, s, q_re, q_im = root
+    a, d, b_re, b_im = rho
+    q_sq = q_re * q_re + q_im * q_im
+    cross = q_re * b_re + q_im * b_im
+    m00 = p * p * a + 2.0 * p * cross + q_sq * d
+    m11 = q_sq * a + 2.0 * s * cross + s * s * d
+    t = p * a + s * d
+    ps = p * s
+    q2_re = q_re * q_re - q_im * q_im
+    q2_im = 2.0 * q_re * q_im
+    m01_re = q_re * t + (q2_re * b_re + q2_im * b_im) + ps * b_re
+    m01_im = q_im * t + (q2_im * b_re - q2_re * b_im) + ps * b_im
+    return m00, m11, m01_re, m01_im
+
+
+def _matrix_fidelity(rho1, rho2):
+    """Matrix-route kernel on the entries (a, d, Re b, Im b) of rho1 and rho2."""
+    x1, y1, z1 = _bloch_of_entries(*rho1)
+    r1 = _norm3(x1, y1, z1)
+    r2 = _norm3(*_bloch_of_entries(*rho2))
+    lo, hi = _eig2(*_sandwich(_sqrt_entries(x1, y1, z1, r1), rho2))
+    if (lo < -_PSD_SLACK).any():
+        raise ValueError(
+            f"sqrt(rho1) rho2 sqrt(rho1) has eigenvalue {float(np.min(lo)):.3e} < -1e-10"
+        )
+    det_product = _ball_gap(r1) * _ball_gap(r2) / 16.0
+    lam_minus = np.where(hi > 0.0, det_product / np.where(hi > 0.0, hi, 1.0), 0.0)
+    fid = (np.sqrt(hi) + np.sqrt(lam_minus)) ** 2
+    return _clamp_unit(fid, "bures fidelity")
 
 
 def bures_fidelity_matrix(rho1, rho2):
     """Bures fidelity [trace sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2.
 
-    Forms m = sqrt(rho1) rho2 sqrt(rho1), symmetrizes it to remove
-    rounding skew, and evaluates (sqrt(L+) + sqrt(L-))^2 from its
+    Forms m = sqrt(rho1) rho2 sqrt(rho1) entry by entry (Hermitian by
+    construction) and evaluates (sqrt(L+) + sqrt(L-))^2 from its
     eigenvalues.  L+ comes from the closed-form eigensolve; L- is
     recovered through det(m) = det(rho1) det(rho2) as that product over
     L+, because the direct small root cancels to ~1e-16 absolute near
@@ -102,22 +158,9 @@ def bures_fidelity_matrix(rho1, rho2):
     not PSD to working precision) or the result leaves [0, 1] by more
     than 1e-12.
     """
-    rho1 = validate_density_matrix(rho1)
-    rho2 = validate_density_matrix(rho2)
-    root = sqrt_density(rho1)
-    m = root @ rho2 @ root
-    m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-    lo, hi = hermitian_eigenvalues(m)
-    if np.any(lo < -_PSD_SLACK):
-        raise ValueError(
-            f"sqrt(rho1) rho2 sqrt(rho1) has eigenvalue {float(np.min(lo)):.3e} < -1e-10"
-        )
-    r1 = np.linalg.norm(_bloch_of(rho1), axis=-1)
-    r2 = np.linalg.norm(_bloch_of(rho2), axis=-1)
-    det_product = _ball_gap(r1) * _ball_gap(r2) / 16.0
-    lam_minus = np.where(hi > 0.0, det_product / np.where(hi > 0.0, hi, 1.0), 0.0)
-    fid = (np.sqrt(hi) + np.sqrt(lam_minus)) ** 2
-    return _clamp_unit(fid, "bures fidelity")
+    _, entries1 = _checked_density(rho1)
+    _, entries2 = _checked_density(rho2)
+    return _matrix_fidelity(entries1, entries2)
 
 
 def lambda_roots(u, v) -> LambdaRoots:
@@ -131,10 +174,8 @@ def lambda_roots(u, v) -> LambdaRoots:
 
     Requires |u|, |v| < 1; for pure inputs use bures_fidelity_closed.
     """
-    u = as_bloch_vector(u)
-    v = as_bloch_vector(v)
-    ru = np.linalg.norm(u, axis=-1)
-    rv = np.linalg.norm(v, axis=-1)
+    u, ru = _checked_bloch(u)
+    v, rv = _checked_bloch(v)
     if np.any(ru >= 1.0) or np.any(rv >= 1.0):
         raise ValueError("pure input: the root formula needs finite rapidities")
     gu = _gamma(ru)
@@ -146,6 +187,12 @@ def lambda_roots(u, v) -> LambdaRoots:
     return LambdaRoots((exp_plus / denom)[()], (1.0 / (exp_plus * denom))[()])
 
 
+def _closed_fidelity(dot, ru, rv):
+    """Closed-form kernel from u.v and the two norms."""
+    fid = 0.5 * (1.0 + dot) + 0.5 * np.sqrt(_ball_gap(ru) * _ball_gap(rv))
+    return _clamp_unit(fid, "bures fidelity")
+
+
 def bures_fidelity_closed(u, v):
     """Closed-form Bures fidelity (1 + u.v)/2 + sqrt((1-|u|^2)(1-|v|^2))/2.
 
@@ -155,9 +202,6 @@ def bures_fidelity_closed(u, v):
     (u, v) bit-for-bit: the dot product is accumulated in a fixed
     component order and every other operation is commutative.
     """
-    u = as_bloch_vector(u)
-    v = as_bloch_vector(v)
-    ru = np.linalg.norm(u, axis=-1)
-    rv = np.linalg.norm(v, axis=-1)
-    fid = 0.5 * (1.0 + _dot3(u, v)) + 0.5 * np.sqrt(_ball_gap(ru) * _ball_gap(rv))
-    return _clamp_unit(fid, "bures fidelity")
+    u, ru = _checked_bloch(u)
+    v, rv = _checked_bloch(v)
+    return _closed_fidelity(_dot3(u, v), ru, rv)

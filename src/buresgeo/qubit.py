@@ -8,6 +8,12 @@ deterministic counter-based sampler for test points in four regimes.
 
 All functions broadcast over leading axes: Bloch vectors have shape
 (..., 3) and matrices shape (..., 2, 2).
+
+Validation happens once, at the public boundary.  Each public function
+checks its inputs and then calls a private kernel that trusts its
+arrays; callers that already hold valid data, such as the verifier
+with the sampler's output, call the kernels directly.  Kernels work on
+2x2 matrices as explicit entries, without einsum or matmul.
 """
 
 import numbers
@@ -51,38 +57,21 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-_EYE2 = np.eye(2, dtype=complex)
-
 
 def _gamma(r):
     """Lorentz factor 1/sqrt(1 - r^2), evaluated as (1-r)(1+r) for accuracy."""
     return 1.0 / np.sqrt((1.0 - r) * (1.0 + r))
 
 
-def as_bloch_vector(n) -> np.ndarray:
-    """Validate and return n as a float array of shape (..., 3).
-
-    Rejects non-finite components and norms larger than 1 + BALL_EPS.
-    """
-    n = np.asarray(n, dtype=float)
-    if n.shape[-1:] != (3,):
-        raise ValueError(f"Bloch vector must have 3 components, got shape {n.shape}")
-    if not np.all(np.isfinite(n)):
-        raise ValueError("Bloch vector has non-finite components")
-    r = np.linalg.norm(n, axis=-1)
-    if np.any(r > 1.0 + BALL_EPS):
-        raise ValueError(f"Bloch vector norm {float(np.max(r))!r} lies outside the unit ball")
-    return n
+def _xyz(n):
+    """Components of Bloch vectors of shape (..., 3), each of shape (...)."""
+    return n[..., 0], n[..., 1], n[..., 2]
 
 
-def bloch_norm(n) -> np.ndarray:
-    """Euclidean norm over the last axis."""
-    return np.linalg.norm(np.asarray(n, dtype=float), axis=-1)
-
-
-def _pauli_dot(vec) -> np.ndarray:
-    """sigma . vec for vec of shape (..., 3), result (..., 2, 2)."""
-    return np.einsum("...k,kij->...ij", vec, PAULI)
+def _norm3(x, y, z):
+    # Same summation order as np.linalg.norm over a length-3 last axis,
+    # so norms are bit-identical to it.
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def _dot3(u, v) -> np.ndarray:
@@ -90,30 +79,101 @@ def _dot3(u, v) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
+def _checked_bloch(n):
+    """Validate n as in as_bloch_vector; return (n, |n|), the norm computed once."""
+    n = np.asarray(n, dtype=float)
+    if n.shape[-1:] != (3,):
+        raise ValueError(f"Bloch vector must have 3 components, got shape {n.shape}")
+    if not np.isfinite(n).all():
+        raise ValueError("Bloch vector has non-finite components")
+    r = _norm3(*_xyz(n))
+    if (r > 1.0 + BALL_EPS).any():
+        raise ValueError(f"Bloch vector norm {float(np.max(r))!r} lies outside the unit ball")
+    return n, r
+
+
+def as_bloch_vector(n) -> np.ndarray:
+    """Validate and return n as a float array of shape (..., 3).
+
+    Rejects non-finite components and norms larger than 1 + BALL_EPS.
+    """
+    return _checked_bloch(n)[0]
+
+
+def bloch_norm(n) -> np.ndarray:
+    """Euclidean norm over the last axis."""
+    return np.linalg.norm(np.asarray(n, dtype=float), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# 2x2 Hermitian matrices as entries.
+#
+# Kernels below pass a Hermitian matrix [[a, b], [conj(b), d]] as the
+# four real arrays (a, d, Re b, Im b) and trust them: the public
+# functions validate once and then call the kernels.
+# ---------------------------------------------------------------------------
+
+
+def _hermitian2(a, d, b_re, b_im) -> np.ndarray:
+    """Complex matrices [[a, b], [conj(b), d]] of shape (..., 2, 2)."""
+    out = np.empty(np.broadcast(a, d, b_re, b_im).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = a
+    out[..., 1, 1] = d
+    out[..., 0, 1].real = b_re
+    out[..., 0, 1].imag = b_im
+    out[..., 1, 0].real = b_re
+    out[..., 1, 0].imag = -b_im
+    return out
+
+
+def _entries(m):
+    """Entries (a, d, Re b, Im b) of the Hermitian part of 2x2 matrices m."""
+    upper = m[..., 0, 1]
+    lower = m[..., 1, 0]
+    return (
+        m[..., 0, 0].real,
+        m[..., 1, 1].real,
+        0.5 * (upper.real + lower.real),
+        0.5 * (upper.imag - lower.imag),
+    )
+
+
+def _density_entries(x, y, z):
+    """Entries of (1 + sigma.n)/2 for n = (x, y, z)."""
+    return 0.5 * (1.0 + z), 0.5 * (1.0 - z), 0.5 * x, -0.5 * y
+
+
+def _bloch_of_entries(a, d, b_re, b_im):
+    """Components k of Re trace(rho sigma_k) for rho given by its entries."""
+    return 2.0 * b_re, -2.0 * b_im, a - d
+
+
+def _eig2(a, d, b_re, b_im):
+    """Eigenvalues (low, high) of [[a, b], [conj(b), d]]: mean -+ hypot((a-d)/2, |b|)."""
+    mean = 0.5 * (a + d)
+    half_gap = np.hypot(0.5 * (a - d), np.hypot(b_re, b_im))
+    return mean - half_gap, mean + half_gap
+
+
 def density_from_bloch(n) -> np.ndarray:
     """Density matrix (1 + sigma.n)/2 of the Bloch vector n.
 
     The result is Hermitian with unit trace and eigenvalues (1 +- |n|)/2.
     """
-    n = as_bloch_vector(n)
-    return 0.5 * (_EYE2 + _pauli_dot(n))
+    return _hermitian2(*_density_entries(*_xyz(as_bloch_vector(n))))
 
 
 def bloch_from_density(rho) -> np.ndarray:
     """Recover the Bloch vector, component k = Re trace(rho sigma_k)."""
-    rho = validate_density_matrix(rho)
-    return _bloch_of(rho)
+    return _bloch_of(validate_density_matrix(rho))
 
 
 def _bloch_of(rho) -> np.ndarray:
-    return np.einsum("...ij,kji->...k", rho, PAULI).real
+    return np.stack(_bloch_of_entries(*_entries(rho)), axis=-1)
 
 
-def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return as complex array.
-
-    Raises ValueError describing the first violated property.
-    """
+def _checked_density(rho):
+    """Validate rho as in validate_density_matrix; return (rho, its entries)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
@@ -125,10 +185,19 @@ def validate_density_matrix(rho) -> np.ndarray:
     trace = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
     if np.any(trace > _TRACE_TOL):
         raise ValueError(f"density matrix trace differs from 1 by {float(np.max(trace)):.3e}")
-    lo, _ = hermitian_eigenvalues(rho)
+    entries = _entries(rho)
+    lo, _ = _eig2(*entries)
     if np.any(lo < -_PSD_TOL):
         raise ValueError(f"density matrix has negative eigenvalue {float(np.min(lo)):.3e}")
-    return rho
+    return rho, entries
+
+
+def validate_density_matrix(rho) -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity; return as complex array.
+
+    Raises ValueError describing the first violated property.
+    """
+    return _checked_density(rho)[0]
 
 
 def hermitian_eigenvalues(m):
@@ -150,11 +219,30 @@ def hermitian_eigenvalues(m):
     skew = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
     if skew > _EIG_HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (max |m - m^dag| = {float(skew):.3e})")
-    a = m[..., 0, 0].real
-    d = m[..., 1, 1].real
-    mean = 0.5 * (a + d)
-    half_gap = np.hypot(0.5 * (a - d), np.abs(m[..., 0, 1]))
-    return mean - half_gap, mean + half_gap
+    upper = m[..., 0, 1]
+    return _eig2(m[..., 0, 0].real, m[..., 1, 1].real, upper.real, upper.imag)
+
+
+def _sqrt_entries(x, y, z, r):
+    """Entries of sqrt((1 + sigma.n)/2) for n = (x, y, z) of norm r; see sqrt_density."""
+    r_safe = np.minimum(r, PURE_NORM)
+    g = _gamma(r_safe)
+    alpha_closed = np.sqrt((1.0 + g) / (4.0 * g))
+    c_closed = alpha_closed * g / (1.0 + g)
+
+    s_hi = np.sqrt(0.5 * (1.0 + r))
+    s_lo = np.sqrt(np.maximum(0.5 * (1.0 - r), 0.0))
+    alpha_spectral = 0.5 * (s_hi + s_lo)
+    c_spectral = 0.5 * (s_hi - s_lo)
+    r_div = np.where(r > 0.0, r, 1.0)
+
+    # sqrt(rho) = alpha + sigma.vec with vec = c n (closed) or c nhat (spectral).
+    spectral = r > PURE_NORM
+    alpha = np.where(spectral, alpha_spectral, alpha_closed)
+    vx, vy, vz = (
+        np.where(spectral, c_spectral * (k / r_div), c_closed * k) for k in (x, y, z)
+    )
+    return alpha + vz, alpha - vz, vx, -vy
 
 
 def sqrt_density(rho) -> np.ndarray:
@@ -174,27 +262,9 @@ def sqrt_density(rho) -> np.ndarray:
 
     which is exact in the pure limit |n| = 1.
     """
-    rho = validate_density_matrix(rho)
-    n = _bloch_of(rho)
-    r = np.linalg.norm(n, axis=-1)
-
-    r_safe = np.minimum(r, PURE_NORM)
-    g = _gamma(r_safe)
-    alpha_closed = np.sqrt((1.0 + g) / (4.0 * g))
-    vec_closed = (alpha_closed * g / (1.0 + g))[..., None] * n
-
-    lam_hi = 0.5 * (1.0 + r)
-    lam_lo = np.maximum(0.5 * (1.0 - r), 0.0)
-    s_hi = np.sqrt(lam_hi)
-    s_lo = np.sqrt(lam_lo)
-    nhat = n / np.where(r > 0.0, r, 1.0)[..., None]
-    alpha_spectral = 0.5 * (s_hi + s_lo)
-    vec_spectral = (0.5 * (s_hi - s_lo))[..., None] * nhat
-
-    spectral = r > PURE_NORM
-    alpha = np.where(spectral, alpha_spectral, alpha_closed)
-    vec = np.where(spectral[..., None], vec_spectral, vec_closed)
-    return alpha[..., None, None] * _EYE2 + _pauli_dot(vec)
+    _, entries = _checked_density(rho)
+    x, y, z = _bloch_of_entries(*entries)
+    return _hermitian2(*_sqrt_entries(x, y, z, _norm3(x, y, z)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,17 @@ from typing import Optional
 
 import numpy as np
 
-from .hyperbolic import fidelity_hyperbolic
-from .measures import bures_fidelity_closed, bures_fidelity_matrix, trace_distance_bloch
+from .hyperbolic import _hyperbolic_fidelity
+from .measures import _closed_fidelity, _matrix_fidelity, _trace_distance
 from .qubit import (
-    _INDEX_LIMIT,
     PURE_NORM,
     REGIMES,
     _check_int,
-    as_bloch_vector,
-    bloch_norm,
-    density_from_bloch,
+    _checked_bloch,
+    _density_entries,
+    _dot3,
+    _norm3,
+    _xyz,
     random_bloch_indexed,
 )
 
@@ -42,6 +43,11 @@ NEAR_MIXED_BAND = 1e-3
 # cache).  Peak RSS was 51 MB at 16384, 79 MB at 65536 and 566 MB with
 # the whole range in one block.
 _BLOCK = 16384
+
+# Largest trial count a sweep accepts.  The per-trial spreads live in one
+# float64 array, 8 bytes per trial, so the cap bounds that array at
+# 32 GiB; larger counts are refused before anything is allocated.
+_MAX_TRIALS = 2**32
 
 
 @dataclass(frozen=True)
@@ -99,18 +105,17 @@ def compare(u, v) -> FidelityReport:
     Never raises on pure inputs; the hyperbolic route is simply omitted
     and flagged.
     """
-    u = as_bloch_vector(u)
-    v = as_bloch_vector(v)
+    u, ru = _checked_bloch(u)
+    v, rv = _checked_bloch(v)
     if u.shape != (3,) or v.shape != (3,):
         raise ValueError("compare takes a single pair of Bloch vectors")
-    ru = float(bloch_norm(u))
-    rv = float(bloch_norm(v))
-    flags = _flags(ru, rv)
+    flags = _flags(float(ru), float(rv))
+    dot = _dot3(u, v)
 
-    f_closed = float(bures_fidelity_closed(u, v))
-    f_matrix = float(bures_fidelity_matrix(density_from_bloch(u), density_from_bloch(v)))
+    f_closed = float(_closed_fidelity(dot, ru, rv))
+    f_matrix = float(_matrix_fidelity(_density_entries(*u), _density_entries(*v)))
     pure = "pure_u" in flags or "pure_v" in flags
-    f_hyperbolic = None if pure else float(fidelity_hyperbolic(u, v))
+    f_hyperbolic = None if pure else float(_hyperbolic_fidelity(dot, ru, rv))
 
     values = [f_matrix, f_closed] if pure else [f_matrix, f_hyperbolic, f_closed]
     spread = max(abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :])
@@ -121,20 +126,29 @@ def compare(u, v) -> FidelityReport:
         f_matrix=f_matrix,
         f_hyperbolic=f_hyperbolic,
         f_closed=f_closed,
-        d_trace=float(trace_distance_bloch(u, v)),
+        d_trace=float(_trace_distance(u, v)),
         max_pairwise_diff=float(spread),
         regime_flags=flags,
     )
 
 
 def _route_spread(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized max pairwise route difference, one value per pair."""
-    f_closed = bures_fidelity_closed(u, v)
-    f_matrix = bures_fidelity_matrix(density_from_bloch(u), density_from_bloch(v))
+    """Vectorized max pairwise route difference, one value per pair.
+
+    Takes the sampler's output as it is: random_bloch_indexed only
+    returns vectors in the closed unit ball, so nothing is re-validated.
+    """
+    ux, uy, uz = _xyz(u)
+    vx, vy, vz = _xyz(v)
+    ru = _norm3(ux, uy, uz)
+    rv = _norm3(vx, vy, vz)
+    dot = _dot3(u, v)
+    f_closed = _closed_fidelity(dot, ru, rv)
+    f_matrix = _matrix_fidelity(_density_entries(ux, uy, uz), _density_entries(vx, vy, vz))
     spread = np.abs(f_matrix - f_closed)
-    finite = (bloch_norm(u) <= PURE_NORM) & (bloch_norm(v) <= PURE_NORM)
+    finite = (ru <= PURE_NORM) & (rv <= PURE_NORM)
     if np.any(finite):
-        f_hyp = fidelity_hyperbolic(u[finite], v[finite])
+        f_hyp = _hyperbolic_fidelity(dot[finite], ru[finite], rv[finite])
         extra = np.maximum(
             np.abs(f_hyp - f_matrix[finite]), np.abs(f_hyp - f_closed[finite])
         )
@@ -151,15 +165,25 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
     per-trial values land in one array that is reduced in index order,
     so the output is identical for any block partition of the range.
     Ties for the worst pair resolve to the lowest trial index.
+
+    ``trials`` may not exceed 2**32: the per-trial spreads take 8 bytes
+    each.  A count above that cap, or one whose spread array cannot be
+    allocated, raises ValueError.
     """
     start = time.perf_counter()
     seed = _check_int(seed, "seed", 0, 2**64)
-    trials = _check_int(trials, "trials", 1, _INDEX_LIMIT + 1)
+    trials = _check_int(trials, "trials", 1, _MAX_TRIALS + 1)
     for regime in (regime_u, regime_v):
         if regime not in REGIMES:
             raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
 
-    diffs = np.empty(trials)
+    try:
+        diffs = np.empty(trials)
+    except MemoryError:
+        raise ValueError(
+            f"trials={trials} needs {8 * trials} bytes for the per-trial spreads, "
+            "more than this process can allocate"
+        ) from None
     for lo in range(0, trials, _BLOCK):
         hi = min(lo + _BLOCK, trials)
         idx = np.arange(lo, hi)

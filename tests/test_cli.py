@@ -5,6 +5,7 @@ import math
 import re
 
 import numpy as np
+import pytest
 
 import buresgeo as bg
 from buresgeo import cli
@@ -206,6 +207,10 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--regime-u", "thermal")
         assert code == 2 and out == ""
 
+    def test_rejects_trials_above_cap(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--trials", str(2**40))
+        assert code == 2 and out == "" and "trials must be an integer in" in err
+
     def test_rejects_bad_seed_and_tolerance(self, capsys):
         assert run_cli(capsys, "verify", "--seed", "-1")[0] == 2
         assert run_cli(capsys, "verify", "--seed", str(2**64))[0] == 2
@@ -216,6 +221,55 @@ class TestVerifyCommand:
         result = json.loads(out)["result"]
         u = bg.random_bloch_indexed(11, "uniform_ball", result["worst_index"], stream=0)
         assert result["worst_u"] == list(u)
+
+
+class TestNegativeComponents:
+    """A separate value such as -0.1,0.2,0.3 is read as the flag's value."""
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("flag", ["--u", "--v"])
+    @pytest.mark.parametrize("command", ["fidelity", "triangle"])
+    def test_leading_minus_value(self, capsys, command, flag, position):
+        values = {"--u": [0.1, 0.2, 0.3], "--v": [0.3, -0.0, 0.4]}
+        values[flag][position] = -values[flag][position] - 0.05
+        texts = {name: ",".join(repr(x) for x in vector) for name, vector in values.items()}
+        separate = [command, "--u", texts["--u"], "--v", texts["--v"]]
+        joined = [command, f"--u={texts['--u']}", f"--v={texts['--v']}"]
+        code, out, err = run_cli(capsys, *separate)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["inputs"]["u"] == values["--u"]
+        assert payload["inputs"]["v"] == values["--v"]
+        assert run_cli(capsys, *joined) == (code, out, err)
+
+    def test_missing_value_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "fidelity", "--v", "0,0,0", "--u")
+        assert code == 2 and out == "" and "--u" in err
+
+
+class TestParserReuse:
+    REQUESTS = (
+        ("fidelity", "--u", "0.5,0,0", "--v", "0,0.5,0"),
+        ("triangle", "--u", "0.4,0.1,0", "--v", "0,-0.5,0.2", "--samples-per-edge", "3", "--format", "csv"),
+        ("verify", "--seed", "3", "--trials", "50", "--regime-v", "near_pure"),
+        ("fidelity", "--u", "0.5,0,0"),
+        ("triangle", "--u", "0.3,0,0", "--v", "0,0.3,0"),
+        ("verify", "--trials", "0"),
+    )
+
+    def _run(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        return code, strip_elapsed(out), err
+
+    def test_reused_parser_matches_fresh_parser(self, capsys):
+        fresh = []
+        for argv in self.REQUESTS:
+            cli._build_parser.cache_clear()
+            fresh.append(self._run(capsys, argv))
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 2]
+        for _ in range(2):
+            assert [self._run(capsys, argv) for argv in self.REQUESTS] == fresh
+        assert cli._build_parser.cache_info().currsize == 1
 
 
 class TestCliShell:

@@ -151,6 +151,19 @@ class TestSweep:
         with pytest.raises(ValueError, match="seed must be an integer in"):
             bg.sweep(seed, 10, "uniform_ball", "uniform_ball")
 
+    @pytest.mark.parametrize("trials", [verify._MAX_TRIALS + 1, 2**40, 2**62])
+    def test_rejects_trials_above_cap(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer in"):
+            bg.sweep(0, trials, "uniform_ball", "uniform_ball")
+
+    def test_allocation_failure_is_value_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(verify.np, "empty", fail)
+        with pytest.raises(ValueError, match="trials=10 needs 80 bytes"):
+            bg.sweep(0, 10, "uniform_ball", "uniform_ball")
+
     def test_accepts_numpy_integers(self):
         summary = bg.sweep(np.uint64(5), np.int64(3), "uniform_ball", "uniform_ball")
         assert _strip_elapsed(summary) == _strip_elapsed(bg.sweep(5, 3, "uniform_ball", "uniform_ball"))
