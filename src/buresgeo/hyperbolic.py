@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qubit import PURE_NORM, _checked_bloch, _dot3, _gamma, _hermitian2, as_bloch_vector
+from .measures import _clamp_unit
+from .qubit import PURE_NORM, _checked_bloch, _dot3, _gamma, _hermitian2, _norm3, _xyz
 
 __all__ = [
     "DEGENERATE_NORM",
@@ -50,18 +51,13 @@ class Rapidity(NamedTuple):
     phi: np.ndarray
 
 
-def _norm(x):
-    return np.linalg.norm(x, axis=-1)
-
-
 def rapidity_from_bloch(n) -> Rapidity:
     """Rapidity representation of n; phi is +inf exactly when |n| >= 1.
 
     The direction defaults to the z axis at n = 0, where phi = 0 makes
     it arbitrary.
     """
-    n = as_bloch_vector(n)
-    r = _norm(n)
+    n, r = _checked_bloch(n)
     direction = np.where((r > 0.0)[..., None], n / np.where(r > 0.0, r, 1.0)[..., None], _Z_AXIS)
     phi = np.where(r < 1.0, np.arctanh(np.where(r < 1.0, r, 0.0)), np.inf)
     return Rapidity(direction[()], phi[()])
@@ -100,12 +96,15 @@ def einstein_add(u, v) -> np.ndarray:
     Lorentz factor g_u is finite, and 1 + u.v > 1e-15 (the antipodal
     pure limit has no well-defined sum).
     """
-    u = as_bloch_vector(u)
-    v = as_bloch_vector(v)
-    ru = _norm(u)
+    u, ru = _checked_bloch(u)
+    v, _ = _checked_bloch(v)
     if np.any(ru >= 1.0):
         raise ValueError("left operand of einstein_add must lie strictly inside the ball")
-    dot = _dot3(u, v)
+    return _einstein_add(u, v, ru, _dot3(u, v))
+
+
+def _einstein_add(u, v, ru, dot):
+    """Einstein-sum kernel from the operands, |u| < 1 and u.v."""
     denom = 1.0 + dot
     if np.any(denom <= 1e-15):
         raise ValueError("antipodal pure limit: 1 + u.v vanishes")
@@ -114,11 +113,12 @@ def einstein_add(u, v) -> np.ndarray:
     # Rounding may land an ulp outside the closed ball; pull back onto it.
     # Division can itself round back above 1, so shave the stragglers by
     # 1, 2, 4 and 8 ulps in turn: 15 ulps exceed any rounding in the norm.
-    over = _norm(w) > 1.0
+    rw = _norm3(*_xyz(w))
+    over = rw > 1.0
     if np.any(over):
-        w = np.where(over[..., None], w / _norm(w)[..., None], w)
+        w = np.where(over[..., None], w / rw[..., None], w)
         for ulps in (1.0, 2.0, 4.0, 8.0):
-            w = np.where((_norm(w) > 1.0)[..., None], w * (1.0 - ulps * 2.0**-52), w)
+            w = np.where((_norm3(*_xyz(w)) > 1.0)[..., None], w * (1.0 - ulps * 2.0**-52), w)
     return w
 
 
@@ -128,10 +128,8 @@ def gamma_composition(u, v):
     This is the hyperbolic law of cosines for the triangle with sides
     phi_u, phi_v and included angle pi - arccos(uhat.vhat).
     """
-    u = as_bloch_vector(u)
-    v = as_bloch_vector(v)
-    ru = _norm(u)
-    rv = _norm(v)
+    u, ru = _checked_bloch(u)
+    v, rv = _checked_bloch(v)
     if np.any(ru >= 1.0) or np.any(rv >= 1.0):
         raise ValueError("pure input: the Lorentz factor diverges on the sphere")
     return (_gamma(ru) * _gamma(rv) * (1.0 + _dot3(u, v)))[()]
@@ -142,10 +140,7 @@ def _hyperbolic_fidelity(dot, ru, rv):
     gu = _gamma(ru)
     gv = _gamma(rv)
     gw = gu * gv * (1.0 + dot)
-    fid = (1.0 + gw) / (2.0 * gu * gv)
-    if ((fid < -1e-12) | (fid > 1.0 + 1e-12)).any():
-        raise ValueError("hyperbolic fidelity left [0, 1]; inputs are inconsistent")
-    return np.clip(fid, 0.0, 1.0)[()]
+    return _clamp_unit((1.0 + gw) / (2.0 * gu * gv), "hyperbolic fidelity")
 
 
 def fidelity_hyperbolic(u, v):
@@ -280,12 +275,12 @@ def triangle(u, v) -> HyperbolicTriangle:
     coordinates.  Norms must lie in (DEGENERATE_NORM, PURE_NORM]:
     smaller leaves the direction undefined, larger has no finite sides.
     """
-    u = as_bloch_vector(u)
-    v = as_bloch_vector(v)
+    u, ru = _checked_bloch(u)
+    v, rv = _checked_bloch(v)
     if u.shape != (3,) or v.shape != (3,):
         raise ValueError("triangle takes a single pair of Bloch vectors")
-    ru = float(_norm(u))
-    rv = float(_norm(v))
+    ru = float(ru)
+    rv = float(rv)
     if ru <= DEGENERATE_NORM or rv <= DEGENERATE_NORM:
         raise ValueError(
             f"degenerate input: |u| = {ru:.3e}, |v| = {rv:.3e}; directions below "
@@ -299,12 +294,13 @@ def triangle(u, v) -> HyperbolicTriangle:
     gu = float(_gamma(ru))
     gv = float(_gamma(rv))
 
-    cos_hat = float(_dot3(u, v)) / (ru * rv)
+    dot = _dot3(u, v)
+    cos_hat = float(dot) / (ru * rv)
     angle_a = math.pi - math.acos(min(1.0, max(-1.0, cos_hat)))
 
-    w = einstein_add(u, v)
-    rw = float(_norm(w))
-    gw = float(gamma_composition(u, v))
+    w = _einstein_add(u, v, ru, dot)
+    rw = float(_norm3(*_xyz(w)))
+    gw = gu * gv * (1.0 + dot)
     # artanh is accurate for moderate |w| but saturates near the rim,
     # where arccosh of the composed Lorentz factor takes over.
     phi_w = math.atanh(rw) if rw <= 0.9 else math.acosh(max(gw, 1.0))

@@ -137,8 +137,10 @@ def _matrix_fidelity(rho1, rho2):
         )
     det_product = _ball_gap(r1) * _ball_gap(r2) / 16.0
     lam_minus = np.where(hi > 0.0, det_product / np.where(hi > 0.0, hi, 1.0), 0.0)
-    fid = (np.sqrt(hi) + np.sqrt(lam_minus)) ** 2
-    return _clamp_unit(fid, "bures fidelity")
+    # t * t, not t ** 2: a numpy scalar takes libm pow for ** 2, which can
+    # round unlike the array path, so compare would not reproduce a sweep.
+    t = np.sqrt(hi) + np.sqrt(lam_minus)
+    return _clamp_unit(t * t, "bures fidelity")
 
 
 def bures_fidelity_matrix(rho1, rho2):

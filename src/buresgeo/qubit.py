@@ -43,8 +43,8 @@ __all__ = [
 BALL_EPS = 1e-12
 
 # Norms above this are routed as pure: the rapidity artanh|n| is treated
-# as too large for the closed-form square root and the hyperbolic
-# fidelity route, which switch to their exact pure-state handling.
+# as too large for the hyperbolic fidelity route and the triangle, and
+# the verifier compares only the matrix and closed routes there.
 PURE_NORM = 1.0 - 1e-9
 
 _HERMITIAN_TOL = 1e-12   # entry-wise, for density-matrix validation
@@ -69,8 +69,8 @@ def _xyz(n):
 
 
 def _norm3(x, y, z):
-    # Same summation order as np.linalg.norm over a length-3 last axis,
-    # so norms are bit-identical to it.
+    # The package's one Bloch norm.  Its summation order matches
+    # numpy.linalg.norm over a length-3 last axis, bit for bit.
     return np.sqrt(x * x + y * y + z * z)
 
 
@@ -79,11 +79,17 @@ def _dot3(u, v) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
-def _checked_bloch(n):
-    """Validate n as in as_bloch_vector; return (n, |n|), the norm computed once."""
+def _float3(n) -> np.ndarray:
+    """n as a float array whose last axis has the 3 Bloch components."""
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {n.shape}")
+    return n
+
+
+def _checked_bloch(n):
+    """Validate n as in as_bloch_vector; return (n, |n|), the norm computed once."""
+    n = _float3(n)
     if not np.isfinite(n).all():
         raise ValueError("Bloch vector has non-finite components")
     r = _norm3(*_xyz(n))
@@ -101,8 +107,8 @@ def as_bloch_vector(n) -> np.ndarray:
 
 
 def bloch_norm(n) -> np.ndarray:
-    """Euclidean norm over the last axis."""
-    return np.linalg.norm(np.asarray(n, dtype=float), axis=-1)
+    """Euclidean norm of Bloch vectors of shape (..., 3), over the last axis."""
+    return _norm3(*_xyz(_float3(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,42 +231,25 @@ def hermitian_eigenvalues(m):
 
 def _sqrt_entries(x, y, z, r):
     """Entries of sqrt((1 + sigma.n)/2) for n = (x, y, z) of norm r; see sqrt_density."""
-    r_safe = np.minimum(r, PURE_NORM)
-    g = _gamma(r_safe)
-    alpha_closed = np.sqrt((1.0 + g) / (4.0 * g))
-    c_closed = alpha_closed * g / (1.0 + g)
-
-    s_hi = np.sqrt(0.5 * (1.0 + r))
-    s_lo = np.sqrt(np.maximum(0.5 * (1.0 - r), 0.0))
-    alpha_spectral = 0.5 * (s_hi + s_lo)
-    c_spectral = 0.5 * (s_hi - s_lo)
-    r_div = np.where(r > 0.0, r, 1.0)
-
-    # sqrt(rho) = alpha + sigma.vec with vec = c n (closed) or c nhat (spectral).
-    spectral = r > PURE_NORM
-    alpha = np.where(spectral, alpha_spectral, alpha_closed)
-    vx, vy, vz = (
-        np.where(spectral, c_spectral * (k / r_div), c_closed * k) for k in (x, y, z)
-    )
-    return alpha + vz, alpha - vz, vx, -vy
+    alpha = 0.5 * (np.sqrt(0.5 * (1.0 + r)) + np.sqrt(np.maximum(0.5 * (1.0 - r), 0.0)))
+    four_alpha = 4.0 * alpha
+    return alpha + z / four_alpha, alpha - z / four_alpha, x / four_alpha, -y / four_alpha
 
 
 def sqrt_density(rho) -> np.ndarray:
     """Hermitian PSD square root of a density matrix.
 
-    For |n| <= PURE_NORM the root has the closed form
+    With Bloch vector n, rho has eigenvalues (1 +- |n|)/2 and
+    eigenprojectors (1 +- sigma.nhat)/2, so its root is
 
-        sqrt(rho) = a (1 + (g/(1+g)) sigma.n),   a = sqrt((1+g)/(4g)),
+        sqrt(rho) = alpha + sigma.n / (4 alpha),
+        alpha = (sqrt((1 + |n|)/2) + sqrt((1 - |n|)/2)) / 2.
 
-    with g = 1/sqrt(1 - |n|^2) the Lorentz factor of the Bloch vector;
-    the coefficient g/(1+g) equals tanh(artanh|n| / 2)/|n| and is regular
-    at n = 0.  Above PURE_NORM the factor g diverges, so the root is
-    assembled from the spectral decomposition instead: with eigenvalues
-    (1 +- |n|)/2 and eigenprojectors (1 +- sigma.nhat)/2,
-
-        sqrt(rho) = (sqrt(l+) + sqrt(l-))/2 + (sqrt(l+) - sqrt(l-))/2 sigma.nhat,
-
-    which is exact in the pure limit |n| = 1.
+    This is the spectral decomposition with the coefficient
+    (sqrt(l+) - sqrt(l-)) / (2|n|) of sigma.n rewritten as
+    1 / (2 (sqrt(l+) + sqrt(l-))) = 1 / (4 alpha), which removes the
+    cancelling difference: one formula, regular at n = 0 and exact in
+    the pure limit |n| = 1.
     """
     _, entries = _checked_density(rho)
     x, y, z = _bloch_of_entries(*entries)
@@ -353,8 +342,8 @@ def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndar
     z = 2.0 * u_polar - 1.0
     s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     theta = (2.0 * np.pi) * u_azimuth
-    direction = np.stack([s * np.cos(theta), s * np.sin(theta), z], axis=-1)
-    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    dx, dy = s * np.cos(theta), s * np.sin(theta)
+    length = _norm3(dx, dy, z)
 
     if regime == "uniform_ball":
         # |n|^3 uniform in [0, 1) gives uniform density over the ball volume.
@@ -369,7 +358,7 @@ def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndar
     else:  # pure
         radius = np.ones_like(u_radius)
 
-    out = radius[..., None] * direction
+    out = np.stack([radius * (k / length) for k in (dx, dy, z)], axis=-1)
     return out[0] if scalar else out
 
 

@@ -216,6 +216,15 @@ class TestFidelityHyperbolic:
         with pytest.raises(ValueError, match="pure"):
             bg.fidelity_hyperbolic([1.0 - 1e-10, 0, 0], [0, 0, 0])
 
+    def test_kernel_rejects_inconsistent_inputs(self):
+        # |u.v| <= |u||v| fails here, so the fidelity lands far above 1.
+        from buresgeo.hyperbolic import _hyperbolic_fidelity
+
+        with pytest.raises(ValueError, match=r"hyperbolic fidelity .* lies outside \[0, 1\]"):
+            _hyperbolic_fidelity(5.0, 0.5, 0.5)
+        with pytest.raises(ValueError, match="outside"):
+            _hyperbolic_fidelity(np.array([0.0, -5.0]), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+
     def test_pure_limit_convergence(self):
         rng = np.random.default_rng(31)
         for delta in (1e-4, 1e-6, 1e-8):

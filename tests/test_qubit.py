@@ -47,6 +47,11 @@ class TestDensityFromBloch:
         with pytest.raises(ValueError, match="3 components"):
             bg.density_from_bloch([0.1, 0.2])
 
+    def test_bloch_norm_rejects_wrong_shape(self):
+        for bad in ([0.1, 0.2], np.zeros((4, 2)), 0.5):
+            with pytest.raises(ValueError, match="3 components"):
+                bg.bloch_norm(bad)
+
     def test_trace_and_det(self):
         idx = np.arange(2000)
         n = bg.random_bloch_indexed(3, "uniform_ball", idx)
@@ -160,10 +165,11 @@ class TestSqrtDensity:
         assert np.all(lo >= -1e-12)
 
     def test_closed_form_matches_spectral(self):
-        # Both construction routes must agree away from the pure cutoff.
+        # The one-formula root equals the spectral decomposition to an ulp
+        # or two in every regime, pure states included (measured 2.2e-16).
         from buresgeo.qubit import PAULI, _bloch_of
 
-        for regime in ("uniform_ball", "near_pure", "near_mixed"):
+        for regime in bg.REGIMES:
             n = bg.random_bloch_indexed(23, regime, np.arange(2000))
             rho = bg.density_from_bloch(n)
             root = bg.sqrt_density(rho)
@@ -177,7 +183,7 @@ class TestSqrtDensity:
                 np.sqrt(lam_hi)[..., None, None] * proj_hi
                 + np.sqrt(lam_lo)[..., None, None] * proj_lo
             )
-            np.testing.assert_allclose(root, spectral, atol=1e-10)
+            np.testing.assert_allclose(root, spectral, atol=1e-15)
 
 
 class TestValidateDensityMatrix:
@@ -283,6 +289,29 @@ class TestRandomBloch:
 
     def test_max_stream_works(self):
         bg.random_bloch_indexed(1, "uniform_ball", 0, stream=2**64 - 1)
+
+
+_DIRECTION = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda d: bg.bloch_norm(d) > 0.1
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    direction=_DIRECTION,
+    radius=st.sampled_from(
+        [bg.PURE_NORM, float(np.nextafter(bg.PURE_NORM, 2.0)), 1.0 - 1e-13, 1.0]
+    ),
+)
+def test_sqrt_density_at_the_pure_cutoff(direction, radius):
+    # One formula on both sides of PURE_NORM: no seam where a branch switches.
+    rho = bg.density_from_bloch(radius * direction / bg.bloch_norm(direction))
+    root = bg.sqrt_density(rho)
+    np.testing.assert_allclose(root @ root, rho, rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(root, np.conj(root.T))
+    # A pure state's root has eigenvalue 0; the eigensolve rounds it within an ulp of 1.
+    lo, _ = bg.hermitian_eigenvalues(root)
+    assert lo >= -1e-15
 
 
 @settings(max_examples=100, deadline=None)

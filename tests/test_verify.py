@@ -127,6 +127,17 @@ class TestSweep:
         assert summary.p99_diff <= summary.max_diff
         assert summary.regime_u == "uniform_ball" and summary.regime_v == "pure"
 
+    def test_worst_pair_reproduces_through_compare(self):
+        # compare on a scalar pair must give the spread the batch kernels gave.
+        for seed in range(12):
+            for regime_u in bg.REGIMES:
+                for regime_v in bg.REGIMES:
+                    summary = bg.sweep(seed, 3000, regime_u, regime_v)
+                    report = bg.compare(summary.worst_u, summary.worst_v)
+                    assert report.max_pairwise_diff == summary.max_diff, (
+                        seed, regime_u, regime_v,
+                    )
+
     def test_agreement_across_all_regime_pairs(self):
         for regime_u in bg.REGIMES:
             for regime_v in bg.REGIMES:
