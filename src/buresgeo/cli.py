@@ -7,11 +7,10 @@ consistency failure, 2 usage error.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
-
-import numpy as np
 
 from . import verify as verify_mod
 from .hyperbolic import geodesic_points, triangle
@@ -41,22 +40,22 @@ def _fmt_float(x: float) -> str:
 
 
 def _emit(value) -> str:
-    """Serialize the envelope deterministically (insertion-ordered keys)."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    """Serialize the envelope deterministically (insertion-ordered keys).
+
+    Takes Python values only: arrays are passed as ``.tolist()``.
+    """
+    if isinstance(value, float):
         return _fmt_float(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_emit(item) for item in value) + "]"
     if isinstance(value, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in value.items()) + "}"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_emit(item) for item in value) + "]"
+    return json.dumps(value)
+
+
+def _fields(record) -> dict:
+    """A dataclass instance as a dict of its fields, in declaration order."""
+    return {field.name: getattr(record, field.name) for field in dataclasses.fields(record)}
 
 
 def _envelope(command: str, inputs: dict, result: dict) -> str:
@@ -70,7 +69,7 @@ def _envelope(command: str, inputs: dict, result: dict) -> str:
     )
 
 
-def _parse_triple(text: str, flag: str) -> np.ndarray:
+def _parse_triple(text: str, flag: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise _UsageError(f"{flag} expects three comma-separated reals, got {text!r}")
@@ -88,16 +87,8 @@ def _cmd_fidelity(args) -> int:
     u = _parse_triple(args.u, "--u")
     v = _parse_triple(args.v, "--v")
     report = verify_mod.compare(u, v)
-    result = {
-        "u": report.u,
-        "v": report.v,
-        "f_matrix": report.f_matrix,
-        "f_hyperbolic": report.f_hyperbolic,
-        "f_closed": report.f_closed,
-        "d_trace": report.d_trace,
-        "max_pairwise_diff": report.max_pairwise_diff,
-        "regime_flags": sorted(report.regime_flags),
-    }
+    result = _fields(report)
+    result["regime_flags"] = sorted(report.regime_flags)
     print(_envelope("fidelity", {"u": report.u, "v": report.v, "format": args.format}, result))
     if report.max_pairwise_diff > ROUTE_DISAGREEMENT:
         print(
@@ -120,7 +111,7 @@ def _cmd_triangle(args) -> int:
         raise _UsageError(str(exc)) from None
 
     polylines = {
-        name: geodesic_points(getattr(tri, start), getattr(tri, end), args.samples_per_edge)
+        name: geodesic_points(getattr(tri, start), getattr(tri, end), args.samples_per_edge).tolist()
         for name, start, end in _EDGES
     }
 
@@ -132,21 +123,11 @@ def _cmd_triangle(args) -> int:
         print("\n".join(lines))
         return EXIT_OK
 
-    result = {
-        "phi_u": tri.phi_u,
-        "phi_v": tri.phi_v,
-        "phi_w": tri.phi_w,
-        "angle_a": tri.angle_a,
-        "median_ad": tri.median_ad,
-        "disk_a": tri.disk_a,
-        "disk_b": tri.disk_b,
-        "disk_c": tri.disk_c,
-        "disk_d": tri.disk_d,
-        "polylines": {name: [list(point) for point in polylines[name]] for name, _, _ in _EDGES},
-    }
+    result = _fields(tri)
+    result["polylines"] = polylines
     inputs = {
-        "u": [float(x) for x in u],
-        "v": [float(x) for x in v],
+        "u": u.tolist(),
+        "v": v.tolist(),
         "samples_per_edge": args.samples_per_edge,
         "format": args.format,
     }
@@ -165,19 +146,6 @@ def _cmd_verify(args) -> int:
         summary = verify_mod.sweep(args.seed, args.trials, args.regime_u, args.regime_v)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    result = {
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "regime_u": summary.regime_u,
-        "regime_v": summary.regime_v,
-        "max_diff": summary.max_diff,
-        "mean_diff": summary.mean_diff,
-        "p99_diff": summary.p99_diff,
-        "worst_u": summary.worst_u,
-        "worst_v": summary.worst_v,
-        "worst_index": summary.worst_index,
-        "elapsed_seconds": summary.elapsed_seconds,
-    }
     inputs = {
         "seed": args.seed,
         "trials": args.trials,
@@ -185,7 +153,7 @@ def _cmd_verify(args) -> int:
         "regime_v": args.regime_v,
         "tolerance": args.tolerance,
     }
-    print(_envelope("verify", inputs, result))
+    print(_envelope("verify", inputs, _fields(summary)))
     if summary.max_diff > args.tolerance:
         print(
             f"verification failed: max_diff {summary.max_diff:.3e} > tolerance "

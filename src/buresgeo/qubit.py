@@ -44,11 +44,18 @@ BALL_EPS = 1e-12
 
 # Norms above this are routed as pure: the rapidity artanh|n| is treated
 # as too large for the hyperbolic fidelity route and the triangle, and
-# the verifier compares only the matrix and closed routes there.
+# verify._routes masks the hyperbolic route out, so compare and sweep
+# compare only the matrix and closed routes there.
 PURE_NORM = 1.0 - 1e-9
 
-_HERMITIAN_TOL = 1e-12   # entry-wise, for density-matrix validation
-_EIG_HERMITIAN_TOL = 1e-10  # entry-wise, for the general eigensolver
+# Largest entry of |m - m^dag| that _check_hermitian accepts.
+# _HERMITIAN_TOL: density matrices, whose kernels drop the anti-Hermitian
+# part; 1e-12 like the trace and positivity checks.
+# _EIG_HERMITIAN_TOL: the input of hermitian_eigenvalues, which need not
+# be a density matrix and is read from its upper triangle only.  Merging
+# the two would change which inputs each function accepts.
+_HERMITIAN_TOL = 1e-12
+_EIG_HERMITIAN_TOL = 1e-10
 _PSD_TOL = 1e-12
 _TRACE_TOL = 1e-12
 
@@ -178,6 +185,13 @@ def _bloch_of(rho) -> np.ndarray:
     return np.stack(_bloch_of_entries(*_entries(rho)), axis=-1)
 
 
+def _check_hermitian(m, tol: float, what: str) -> None:
+    """Raise unless every entry of |m - m^dag| is at most tol."""
+    skew = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
+    if skew > tol:
+        raise ValueError(f"{what} is not Hermitian (max |m - m^dag| = {float(skew):.3e})")
+
+
 def _checked_density(rho):
     """Validate rho as in validate_density_matrix; return (rho, its entries)."""
     rho = np.asarray(rho, dtype=complex)
@@ -185,9 +199,7 @@ def _checked_density(rho):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
     if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
         raise ValueError("density matrix has non-finite entries")
-    skew = np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))), initial=0.0)
-    if skew > _HERMITIAN_TOL:
-        raise ValueError(f"density matrix is not Hermitian (max |m - m^dag| = {float(skew):.3e})")
+    _check_hermitian(rho, _HERMITIAN_TOL, "density matrix")
     trace = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
     if np.any(trace > _TRACE_TOL):
         raise ValueError(f"density matrix trace differs from 1 by {float(np.max(trace)):.3e}")
@@ -222,9 +234,7 @@ def hermitian_eigenvalues(m):
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    skew = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
-    if skew > _EIG_HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian (max |m - m^dag| = {float(skew):.3e})")
+    _check_hermitian(m, _EIG_HERMITIAN_TOL, "matrix")
     upper = m[..., 0, 1]
     return _eig2(m[..., 0, 0].real, m[..., 1, 1].real, upper.real, upper.imag)
 

@@ -99,6 +99,31 @@ def _flags(ru: float, rv: float) -> frozenset:
     return frozenset(flags)
 
 
+def _routes(u, v, ru, rv):
+    """The three route fidelities of each pair and their largest difference.
+
+    Takes trusted Bloch vectors u, v of any leading shape and their norms
+    ru, rv, and returns (f_matrix, f_closed, f_hyperbolic, spread).  This
+    is the one place that decides where the hyperbolic route applies: on
+    pairs with either norm above PURE_NORM it runs on norms clipped to
+    PURE_NORM and u.v set to 0, so it stays finite, and is then masked to
+    NaN; fmax leaves NaN out of the spread.
+    """
+    dot = _dot3(u, v)
+    f_closed = _closed_fidelity(dot, ru, rv)
+    f_matrix = _matrix_fidelity(_density_entries(*_xyz(u)), _density_entries(*_xyz(v)))
+    pure = (ru > PURE_NORM) | (rv > PURE_NORM)
+    f_hyp = _hyperbolic_fidelity(
+        np.where(pure, 0.0, dot), np.minimum(ru, PURE_NORM), np.minimum(rv, PURE_NORM)
+    )
+    f_hyp = np.where(pure, np.nan, f_hyp)
+    spread = np.fmax(
+        np.abs(f_matrix - f_closed),
+        np.fmax(np.abs(f_hyp - f_matrix), np.abs(f_hyp - f_closed)),
+    )
+    return f_matrix, f_closed, f_hyp, spread
+
+
 def compare(u, v) -> FidelityReport:
     """Compute every route valid for (u, v) and report their spread.
 
@@ -109,26 +134,16 @@ def compare(u, v) -> FidelityReport:
     v, rv = _checked_bloch(v)
     if u.shape != (3,) or v.shape != (3,):
         raise ValueError("compare takes a single pair of Bloch vectors")
-    flags = _flags(float(ru), float(rv))
-    dot = _dot3(u, v)
-
-    f_closed = float(_closed_fidelity(dot, ru, rv))
-    f_matrix = float(_matrix_fidelity(_density_entries(*u), _density_entries(*v)))
-    pure = "pure_u" in flags or "pure_v" in flags
-    f_hyperbolic = None if pure else float(_hyperbolic_fidelity(dot, ru, rv))
-
-    values = [f_matrix, f_closed] if pure else [f_matrix, f_hyperbolic, f_closed]
-    spread = max(abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :])
-
+    f_matrix, f_closed, f_hyp, spread = (float(x) for x in _routes(u, v, ru, rv))
     return FidelityReport(
-        u=tuple(float(x) for x in u),
-        v=tuple(float(x) for x in v),
+        u=tuple(u.tolist()),
+        v=tuple(v.tolist()),
         f_matrix=f_matrix,
-        f_hyperbolic=f_hyperbolic,
+        f_hyperbolic=None if math.isnan(f_hyp) else f_hyp,
         f_closed=f_closed,
         d_trace=float(_trace_distance(u, v)),
-        max_pairwise_diff=float(spread),
-        regime_flags=flags,
+        max_pairwise_diff=spread,
+        regime_flags=_flags(float(ru), float(rv)),
     )
 
 
@@ -138,22 +153,7 @@ def _route_spread(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     Takes the sampler's output as it is: random_bloch_indexed only
     returns vectors in the closed unit ball, so nothing is re-validated.
     """
-    ux, uy, uz = _xyz(u)
-    vx, vy, vz = _xyz(v)
-    ru = _norm3(ux, uy, uz)
-    rv = _norm3(vx, vy, vz)
-    dot = _dot3(u, v)
-    f_closed = _closed_fidelity(dot, ru, rv)
-    f_matrix = _matrix_fidelity(_density_entries(ux, uy, uz), _density_entries(vx, vy, vz))
-    spread = np.abs(f_matrix - f_closed)
-    finite = (ru <= PURE_NORM) & (rv <= PURE_NORM)
-    if np.any(finite):
-        f_hyp = _hyperbolic_fidelity(dot[finite], ru[finite], rv[finite])
-        extra = np.maximum(
-            np.abs(f_hyp - f_matrix[finite]), np.abs(f_hyp - f_closed[finite])
-        )
-        spread[finite] = np.maximum(spread[finite], extra)
-    return spread
+    return _routes(u, v, _norm3(*_xyz(u)), _norm3(*_xyz(v)))[3]
 
 
 def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:

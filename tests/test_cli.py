@@ -33,6 +33,16 @@ GOLDEN_TRIANGLE = (
     '"BC":[[0.26794919243112275,0],[1.6407156042244635e-17,0.26794919243112275]]}}}'
 )
 
+GOLDEN_TRIANGLE_CSV = (
+    "edge,index,x,y\n"
+    "AB,0,0,0\n"
+    "AB,1,0.26794919243112275,0\n"
+    "AC,0,0,0\n"
+    "AC,1,1.6407156042244635e-17,0.26794919243112275\n"
+    "BC,0,0.26794919243112275,0\n"
+    "BC,1,1.6407156042244635e-17,0.26794919243112275\n"
+)
+
 
 def run_cli(capsys, *args):
     code = cli.main(list(args))
@@ -112,6 +122,15 @@ class TestTriangleCommand:
         assert code == 0
         assert err == ""
         assert out.strip() == GOLDEN_TRIANGLE
+
+    def test_golden_csv(self, capsys):
+        code, out, err = run_cli(
+            capsys, "triangle", "--u", "0.5,0,0", "--v", "0,0.5,0",
+            "--samples-per-edge", "2", "--format", "csv",
+        )
+        assert code == 0
+        assert err == ""
+        assert out == GOLDEN_TRIANGLE_CSV
 
     def test_right_angle_payload(self, capsys):
         _, out, _ = run_cli(capsys, "triangle", "--u", "0.5,0,0", "--v", "0,0.5,0")

@@ -84,6 +84,55 @@ class TestCompare:
             assert all(0.0 <= f <= 1.0 for f in values)
 
 
+def _batch_routes(u, v):
+    return verify._routes(u, v, bg.bloch_norm(u), bg.bloch_norm(v))
+
+
+class TestRoutes:
+    """compare and the sweep share one route kernel, verify._routes."""
+
+    def test_identical_pure_pair(self):
+        # u.v = 1 on norms clipped to PURE_NORM would push the masked
+        # hyperbolic value to 1 + 1e-9, past the clamp; u.v is masked too.
+        u = np.array([[0.0, 0.0, 1.0]])
+        assert verify._route_spread(u, u)[0] == 0.0
+        report = bg.compare(u[0], u[0])
+        assert report.f_hyperbolic is None
+        assert report.max_pairwise_diff == 0.0
+
+    def test_identical_sampled_pure_rows(self):
+        u = bg.random_bloch_indexed(3, "pure", np.arange(2000))
+        f_matrix, f_closed, f_hyp, spread = _batch_routes(u, u)
+        assert np.isnan(f_hyp).all()
+        # The hyperbolic route is left out of the spread entirely.
+        np.testing.assert_array_equal(spread, np.abs(f_matrix - f_closed))
+        np.testing.assert_array_equal(verify._route_spread(u, u), spread)
+        assert spread.max() <= 1e-15
+        for i in range(0, 2000, 97):
+            report = bg.compare(u[i], u[i])
+            assert report.f_hyperbolic is None
+            assert report.max_pairwise_diff == spread[i]
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 1])
+    def test_compare_matches_batch_rows(self, seed):
+        rows = np.arange(0, 6000, 37)
+        for regime_u in bg.REGIMES:
+            for regime_v in bg.REGIMES:
+                u = bg.random_bloch_indexed(seed, regime_u, rows, stream=0)
+                v = bg.random_bloch_indexed(seed, regime_v, rows, stream=1)
+                f_matrix, f_closed, f_hyp, spread = _batch_routes(u, v)
+                for i in range(len(rows)):
+                    report = bg.compare(u[i], v[i])
+                    where = (seed, regime_u, regime_v, i)
+                    assert report.f_matrix == f_matrix[i], where
+                    assert report.f_closed == f_closed[i], where
+                    assert report.max_pairwise_diff == spread[i], where
+                    if np.isnan(f_hyp[i]):
+                        assert report.f_hyperbolic is None, where
+                    else:
+                        assert report.f_hyperbolic == f_hyp[i], where
+
+
 class TestSweep:
     def test_single_trial(self):
         summary = bg.sweep(5, 1, "uniform_ball", "uniform_ball")
