@@ -60,8 +60,19 @@ class LambdaRoots(NamedTuple):
 
 
 def _clamp_unit(x, what: str):
-    """Snap values within UNIT_SLACK of [0, 1] onto it; reject anything worse."""
+    """Snap values within UNIT_SLACK of [0, 1] onto it; reject anything worse.
+
+    NaN passes through and -0.0 stays -0.0, as under np.clip.  One value
+    is clamped with Python floats, whose min and max return their first
+    argument on ties and NaN, so the bits equal np.clip's at a fraction
+    of a 0-d ufunc call's cost.
+    """
     x = np.asarray(x)
+    if x.ndim == 0:
+        value = float(x)
+        if value < -UNIT_SLACK or value > 1.0 + UNIT_SLACK:
+            raise ValueError(f"{what} {value!r} lies outside [0, 1]")
+        return np.float64(min(max(value, 0.0), 1.0))
     outside = (x < -UNIT_SLACK) | (x > 1.0 + UNIT_SLACK)
     if outside.any():
         bad = x[outside]

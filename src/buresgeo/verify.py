@@ -5,11 +5,14 @@ definition, the closed Bloch form, and the hyperbolic rapidity formula.
 ``compare`` joins the routes valid for one pair of states into a report;
 ``sweep`` drives them over seeded Monte Carlo samples and summarizes the
 disagreement.  Trials are keyed by (seed, index), so a sweep returns the
-same result for any partition of the index range into blocks, not
-merely a statistically equivalent one.
+same result for any partition of the index range into blocks, and for
+any number of threads running those blocks, not merely a statistically
+equivalent one.
 """
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -41,8 +44,16 @@ NEAR_MIXED_BAND = 1e-3
 # a 1e6-trial sweep took 3.8-4.1 s at 16384, 4.2 s at 1024 (per-call
 # overhead) and 4.6-5.1 s at 262144 and above (intermediates fall out of
 # cache).  Peak RSS was 51 MB at 16384, 79 MB at 65536 and 566 MB with
-# the whole range in one block.
+# the whole range in one block.  With two threads, 1e5 trials took
+# 35-38 ms at 16384, 42-49 ms at 8192, 63-67 ms at 4096 and 42-44 ms at
+# 32768.
 _BLOCK = 16384
+
+# Most threads one sweep runs on.  Each holds one block of temporaries,
+# about 4.5 MB of peak RSS per thread at 16384, so the cap bounds that
+# memory.  On the 2-core Xeon, two threads ran a 1e5-trial sweep 1.45x
+# faster than one; more cores were not available to measure.
+_MAX_THREADS = 4
 
 # Largest trial count a sweep accepts.  The per-trial spreads live in one
 # float64 array, 8 bytes per trial, so the cap bounds that array at
@@ -156,19 +167,110 @@ def _route_spread(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _routes(u, v, _norm3(*_xyz(u)), _norm3(*_xyz(v)))[3]
 
 
+def _exact_sum(x: np.ndarray) -> int:
+    """Exact sum of nonnegative finite doubles, in units of 2**-1074.
+
+    A double is m * 2**(k - 1075) with biased exponent k (1 for
+    subnormals) and integer m < 2**53.  The low 26 and high 27 bits of m
+    are summed per exponent by bincount; for up to 2**26 values each bin
+    stays below 2**53, so those float sums are exact.  The bins are then
+    shifted into one Python int, whose sums are associative, so the total
+    does not depend on how the values were split (Neal, "Fast exact
+    summation using small and large superaccumulators").
+    """
+    bits = x.view(np.int64)
+    exponent = bits >> 52
+    mantissa = (bits & 0xFFFFFFFFFFFFF) | ((exponent > 0).astype(np.int64) << 52)
+    exponent = np.maximum(exponent, 1)
+    lo = np.bincount(exponent, weights=mantissa & 0x3FFFFFF)
+    hi = np.bincount(exponent, weights=mantissa >> 26)
+    total = 0
+    for k in np.flatnonzero(lo + hi).tolist():
+        total += (int(hi[k]) << (k + 25)) + (int(lo[k]) << (k - 1))
+    return total
+
+
+def _thread_count(blocks: int) -> int:
+    """Threads for a sweep of ``blocks`` index blocks: one per usable CPU, capped."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, blocks, _MAX_THREADS))
+
+
+def _sweep_stripe(seed, regime_u, regime_v, diffs, first, step, stop) -> int:
+    """Fill diffs over blocks first, first + step, ...; return their exact sum."""
+    trials = len(diffs)
+    total = 0
+    for lo in range(first * _BLOCK, trials, step * _BLOCK):
+        if stop.is_set():
+            break
+        hi = min(lo + _BLOCK, trials)
+        idx = np.arange(lo, hi)
+        u = random_bloch_indexed(seed, regime_u, idx, stream=0)
+        v = random_bloch_indexed(seed, regime_v, idx, stream=1)
+        block = diffs[lo:hi]
+        block[...] = _route_spread(u, v)
+        total += _exact_sum(block)
+    return total
+
+
+def _run_striped(work, threads: int) -> list:
+    """Return [work(t, threads, stop) for t in range(threads)], run concurrently.
+
+    Stripe 0 runs on the calling thread, the others on their own threads,
+    all of which are joined before this returns or raises.  The first
+    exception a stripe raises sets ``stop``, which the others check
+    between blocks, and is re-raised here as it is.
+    """
+    stop = threading.Event()
+    results = [None] * threads
+    errors = []
+
+    def run(t):
+        try:
+            results[t] = work(t, threads, stop)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    started = []
+    try:
+        for t in range(1, threads):
+            thread = threading.Thread(target=run, args=(t,), name=f"buresgeo-sweep-{t}")
+            thread.start()
+            started.append(thread)
+        run(0)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
     """Run ``trials`` seeded comparisons and summarize the route spread.
 
     The trial at index i always sees the same pair of states, so the
     summary (elapsed aside) is a pure function of (seed, trials,
-    regime_u, regime_v).  Trials run in fixed index blocks whose
-    per-trial values land in one array that is reduced in index order,
-    so the output is identical for any block partition of the range.
-    Ties for the worst pair resolve to the lowest trial index.
+    regime_u, regime_v).  Trials run in fixed index blocks, striped over
+    one thread per usable CPU (from the CPU affinity, at most four; one
+    block runs serially).  Each block writes its own range of one
+    per-trial array and adds its spreads into an exact integer sum, so
+    the output is identical for any block partition and any thread
+    count.  The mean is that sum rounded once, equal to
+    ``math.fsum(spreads) / trials``; ties for the worst pair resolve to
+    the lowest trial index.
 
     ``trials`` may not exceed 2**32: the per-trial spreads take 8 bytes
-    each.  A count above that cap, or one whose spread array cannot be
-    allocated, raises ValueError.
+    each, on top of one block of temporaries per thread.  A count above
+    that cap, or one whose spread array cannot be allocated, raises
+    ValueError.
     """
     start = time.perf_counter()
     seed = _check_int(seed, "seed", 0, 2**64)
@@ -184,16 +286,18 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
             f"trials={trials} needs {8 * trials} bytes for the per-trial spreads, "
             "more than this process can allocate"
         ) from None
-    for lo in range(0, trials, _BLOCK):
-        hi = min(lo + _BLOCK, trials)
-        idx = np.arange(lo, hi)
-        u = random_bloch_indexed(seed, regime_u, idx, stream=0)
-        v = random_bloch_indexed(seed, regime_v, idx, stream=1)
-        diffs[lo:hi] = _route_spread(u, v)
+    blocks = -(-trials // _BLOCK)
+    totals = _run_striped(
+        lambda first, step, stop: _sweep_stripe(seed, regime_u, regime_v, diffs, first, step, stop),
+        _thread_count(blocks),
+    )
 
     worst = int(np.argmax(diffs))
-    # fsum is exactly rounded, so the mean cannot depend on partitioning.
-    mean = math.fsum(diffs) / trials
+    max_diff = float(diffs[worst])
+    # Integer division is correctly rounded: this is math.fsum(diffs) / trials.
+    mean = sum(totals) / (1 << 1074) / trials
+    # Reads after max_diff: the percentile partitions diffs in place.
+    p99 = float(np.percentile(diffs, 99.0, overwrite_input=True))
     worst_u = random_bloch_indexed(seed, regime_u, worst, stream=0)
     worst_v = random_bloch_indexed(seed, regime_v, worst, stream=1)
 
@@ -202,9 +306,9 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
         seed=seed,
         regime_u=regime_u,
         regime_v=regime_v,
-        max_diff=float(diffs[worst]),
-        mean_diff=float(mean),
-        p99_diff=float(np.percentile(diffs, 99.0)),
+        max_diff=max_diff,
+        mean_diff=mean,
+        p99_diff=p99,
         worst_u=tuple(float(x) for x in worst_u),
         worst_v=tuple(float(x) for x in worst_v),
         worst_index=worst,

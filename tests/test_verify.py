@@ -1,19 +1,27 @@
 """Tests for cross-route reports and deterministic sweeps."""
 
 import dataclasses
+import functools
+import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import buresgeo as bg
-from buresgeo import verify
+from buresgeo import cli, verify
 
 
 def _strip_elapsed(summary):
     return dataclasses.replace(summary, elapsed_seconds=0.0)
 
 
+@functools.cache
 def _single_call_summary(seed, trials, regime_u, regime_v):
     """The summary of one _route_spread call over the whole index range."""
     idx = np.arange(trials)
@@ -228,3 +236,121 @@ class TestSweep:
         summary = bg.sweep(np.uint64(5), np.int64(3), "uniform_ball", "uniform_ball")
         assert _strip_elapsed(summary) == _strip_elapsed(bg.sweep(5, 3, "uniform_ball", "uniform_ball"))
         assert type(summary.seed) is int and type(summary.trials) is int
+
+
+def _force_threads(monkeypatch, threads):
+    monkeypatch.setattr(verify, "_thread_count", lambda blocks: threads)
+
+
+class TestThreadedSweep:
+    """Blocks striped over threads give the serial summary, bit for bit."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1000, 4096, 16384])
+    def test_identical_for_any_thread_count_and_block(self, monkeypatch, block, threads):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        _force_threads(monkeypatch, threads)
+        for trials in (1, 16383, 16385, 40000):
+            for regime_u in bg.REGIMES:
+                for regime_v in bg.REGIMES:
+                    expected = _single_call_summary(trials + 1, trials, regime_u, regime_v)
+                    summary = _strip_elapsed(bg.sweep(trials + 1, trials, regime_u, regime_v))
+                    assert repr(summary) == repr(expected), (trials, regime_u, regime_v)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_mean_is_rounded_once(self, monkeypatch, threads):
+        # Rounded per block or per thread, 1 + 2**-53 ties to 1.0 and the
+        # mean loses the 2**-52 that the exact sum keeps.
+        spreads = np.array([1.0, 2.0**-53, 2.0**-53, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(verify, "_BLOCK", 2)
+        _force_threads(monkeypatch, threads)
+        monkeypatch.setattr(
+            verify, "random_bloch_indexed",
+            lambda seed, regime, idx, stream: np.stack([np.asarray(idx, dtype=float)] * 3, axis=-1),
+        )
+        monkeypatch.setattr(verify, "_route_spread", lambda u, v: spreads[u[:, 0].astype(int)])
+        summary = bg.sweep(0, len(spreads), "pure", "pure")
+        assert summary.mean_diff == math.fsum(spreads) / len(spreads)
+        assert summary.max_diff == 1.0 and summary.worst_index == 0
+
+    def test_thread_count_follows_affinity_and_caps(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert verify._thread_count(1) == 1
+        assert verify._thread_count(3) == min(3, verify._MAX_THREADS)
+        assert verify._thread_count(10**6) == verify._MAX_THREADS
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        assert verify._thread_count(10**6) == 1
+
+    def test_worker_failure_propagates_and_stops_every_thread(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "_BLOCK", 1000)
+        _force_threads(monkeypatch, 3)
+        original = verify._route_spread
+        calls = itertools.count()
+        raised = []
+
+        def failing(u, v):
+            if next(calls) == 2:
+                raised.append(ValueError("injected block failure"))
+                raise raised[-1]
+            return original(u, v)
+
+        monkeypatch.setattr(verify, "_route_spread", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="injected block failure") as excinfo:
+            bg.sweep(0, 100_000, "uniform_ball", "uniform_ball")
+        assert excinfo.value is raised[0]
+        assert threading.active_count() == before
+        # The other stripes stop at their next block, far short of all 100.
+        assert next(calls) <= 20
+
+        calls = itertools.count()
+        assert cli.main(["verify", "--trials", "100000"]) == cli.EXIT_USAGE
+        assert "injected block failure" in capsys.readouterr().err
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_sweep(self):
+        before = threading.active_count()
+        summary = bg.sweep(8, 5 * verify._BLOCK, "near_pure", "uniform_ball")
+        assert threading.active_count() == before
+        assert _strip_elapsed(summary) == _single_call_summary(8, 5 * verify._BLOCK, "near_pure", "uniform_ball")
+
+    def test_stress_with_frequent_thread_switches(self, monkeypatch):
+        monkeypatch.setattr(verify, "_BLOCK", 257)
+        _force_threads(monkeypatch, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 3.0
+            for seed in itertools.count():
+                trials = 2000 + 97 * seed
+                expected = _single_call_summary(seed, trials, "uniform_ball", "near_mixed")
+                summary = bg.sweep(seed, trials, "uniform_ball", "near_mixed")
+                assert repr(_strip_elapsed(summary)) == repr(expected), seed
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
+
+
+_SPECIAL = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.0, 1e-300, 1e300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from(_SPECIAL),
+            st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    cuts=st.lists(st.integers(0, 60), max_size=5),
+)
+def test_exact_block_sum_equals_fsum(values, cuts):
+    x = np.array(values)
+    assert not np.signbit(x).any()
+    bounds = sorted({0, len(values), *(min(c, len(values)) for c in cuts)})
+    total = sum(verify._exact_sum(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    assert repr(total / (1 << 1074)) == repr(math.fsum(values))
