@@ -23,6 +23,7 @@ from .qubit import (
     _checked_density,
     _dot3,
     _eig2,
+    _eig2_scaled,
     _gamma,
     _norm3,
     _sqrt_entries,
@@ -94,7 +95,8 @@ def trace_distance_matrix(rho1, rho2):
     """
     _, (a1, d1, b1_re, b1_im) = _checked_density(rho1)
     _, (a2, d2, b2_re, b2_im) = _checked_density(rho2)
-    lo, hi = _eig2(a1 - a2, d1 - d2, b1_re - b2_re, b1_im - b2_im)
+    # Scaled: two close states differ by entries far below density scale.
+    lo, hi = _eig2_scaled(a1 - a2, d1 - d2, b1_re - b2_re, b1_im - b2_im)
     return 0.5 * (np.abs(lo) + np.abs(hi))
 
 
@@ -142,7 +144,8 @@ def _matrix_fidelity(rho1, rho2):
     r1 = _norm3(x1, y1, z1)
     r2 = _norm3(*_bloch_of_entries(*rho2))
     lo, hi = _eig2(*_sandwich(_sqrt_entries(x1, y1, z1, r1), rho2))
-    if (lo < -_PSD_SLACK).any():
+    # One pair is checked with a Python float comparison, as in _clamp_unit.
+    if float(lo) < -_PSD_SLACK if lo.ndim == 0 else (lo < -_PSD_SLACK).any():
         raise ValueError(
             f"sqrt(rho1) rho2 sqrt(rho1) has eigenvalue {float(np.min(lo)):.3e} < -1e-10"
         )

@@ -162,10 +162,34 @@ def _bloch_of_entries(a, d, b_re, b_im):
 
 
 def _eig2(a, d, b_re, b_im):
-    """Eigenvalues (low, high) of [[a, b], [conj(b), d]]: mean -+ hypot((a-d)/2, |b|)."""
+    """Eigenvalues (low, high) of [[a, b], [conj(b), d]]: mean -+ sqrt(((a-d)/2)^2 + |b|^2).
+
+    The squares are summed as they are, without hypot, which numpy runs
+    as a scalar loop: entries above about 1e153 in magnitude would
+    overflow them, and a matrix whose entries all lie below about 1e-154
+    would lose its gap to underflow.  The route kernels pass
+    density-scale entries, at most 1 in magnitude; _eig2_scaled takes
+    any other matrix.
+    """
     mean = 0.5 * (a + d)
-    half_gap = np.hypot(0.5 * (a - d), np.hypot(b_re, b_im))
+    h = 0.5 * (a - d)
+    half_gap = np.sqrt(h * h + b_re * b_re + b_im * b_im)
     return mean - half_gap, mean + half_gap
+
+
+def _eig2_scaled(a, d, b_re, b_im):
+    """_eig2 for entries of any magnitude, subnormal up to the largest double.
+
+    Each matrix is scaled by the power of two that brings its largest
+    entry into [0.5, 1), so no square can overflow or lose precision to
+    underflow, and its eigenvalues are scaled back.  Scaling by a power
+    of two is exact, so on a density matrix the result equals _eig2's bit
+    for bit.
+    """
+    largest = np.maximum(np.maximum(np.abs(a), np.abs(d)), np.maximum(np.abs(b_re), np.abs(b_im)))
+    exponent = np.frexp(largest)[1]
+    lo, hi = _eig2(*(np.ldexp(x, -exponent) for x in (a, d, b_re, b_im)))
+    return np.ldexp(lo, exponent), np.ldexp(hi, exponent)
 
 
 def density_from_bloch(n) -> np.ndarray:
@@ -204,7 +228,8 @@ def _checked_density(rho):
     if np.any(trace > _TRACE_TOL):
         raise ValueError(f"density matrix trace differs from 1 by {float(np.max(trace)):.3e}")
     entries = _entries(rho)
-    lo, _ = _eig2(*entries)
+    # Scaled: the trace check does not bound the off-diagonal entry.
+    lo, _ = _eig2_scaled(*entries)
     if np.any(lo < -_PSD_TOL):
         raise ValueError(f"density matrix has negative eigenvalue {float(np.min(lo)):.3e}")
     return rho, entries
@@ -223,7 +248,9 @@ def hermitian_eigenvalues(m):
 
     Uses the symmetric form mean +- sqrt(((a11-a22)/2)^2 + |a12|^2),
     which stays accurate for nearly degenerate spectra where the
-    quadratic formula would cancel.
+    quadratic formula would cancel.  Each matrix is first scaled by a
+    power of two, exactly, so entries of any finite magnitude, subnormal
+    ones included, neither overflow nor underflow the squares.
 
     Args:
         m: array of shape (..., 2, 2), Hermitian to within 1e-10.
@@ -236,7 +263,7 @@ def hermitian_eigenvalues(m):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     _check_hermitian(m, _EIG_HERMITIAN_TOL, "matrix")
     upper = m[..., 0, 1]
-    return _eig2(m[..., 0, 0].real, m[..., 1, 1].real, upper.real, upper.imag)
+    return _eig2_scaled(m[..., 0, 0].real, m[..., 1, 1].real, upper.real, upper.imag)
 
 
 def _sqrt_entries(x, y, z, r):
@@ -287,14 +314,20 @@ _NEAR_PURE_GAP_HI = 1e-3
 
 
 def _splitmix_at(key, position):
-    """splitmix64 output at the given counter position(s), vectorized."""
+    """splitmix64 output under one key word at the given counter position(s), vectorized.
+
+    The mixing runs in place on one fresh array (see _direction for why).
+    """
     with np.errstate(over="ignore"):
-        x = np.asarray(key, dtype=np.uint64) + (
-            np.asarray(position, dtype=np.uint64) + np.uint64(1)
-        ) * _SM_GAMMA
-        x = (x ^ (x >> np.uint64(30))) * _SM_MUL1
-        x = (x ^ (x >> np.uint64(27))) * _SM_MUL2
-        return x ^ (x >> np.uint64(31))
+        x = np.asarray(position, dtype=np.uint64) + np.uint64(1)
+        x *= _SM_GAMMA
+        x += np.asarray(key, dtype=np.uint64)
+        x ^= x >> np.uint64(30)
+        x *= _SM_MUL1
+        x ^= x >> np.uint64(27)
+        x *= _SM_MUL2
+        x ^= x >> np.uint64(31)
+        return x
 
 
 def _unit_interval(words) -> np.ndarray:
@@ -303,8 +336,10 @@ def _unit_interval(words) -> np.ndarray:
 
 
 # Largest index plus one: each index owns the four counter positions
-# 4i .. 4i + 3, which must not wrap around 2**64.
+# 4i .. 4i + 3, which must not wrap around 2**64.  The sampler reads the
+# first three: polar, azimuth and radius.
 _INDEX_LIMIT = 2**62
+_WORD_OFFSETS = np.arange(3, dtype=np.uint64)[:, None]
 
 
 def _check_int(value, name: str, lo: int, hi: int) -> int:
@@ -314,11 +349,59 @@ def _check_int(value, name: str, lo: int, hi: int) -> int:
     return int(value)
 
 
+def _direction(u_polar, u_azimuth):
+    """Unit vectors (x, y, z), uniform on the sphere, from two uniforms in [0, 1).
+
+    z = 2 u_polar - 1 is uniform on [-1, 1), which makes the point
+    uniform on the sphere (Archimedes), and the azimuth theta is uniform
+    on [-pi, pi).  Its cosine and sine come from the half-angle tangent
+    t = tan(pi (u_azimuth - 1/2)) = tan(theta/2) as (1 - t^2, 2t) / (1 + t^2),
+    so the only transcendental call is tan, which numpy evaluates as a
+    vector kernel where sin and cos take a scalar loop.  At u_azimuth = 0,
+    t is about -1.6e16: still finite, and its square cannot overflow.
+    The vector is normalized last, so each row has norm 1 to rounding.
+
+    Takes arrays, and works in place on its own temporaries: where the
+    allocator hands freed memory back to the system, a fresh 16384-row
+    temporary costs more in page faults than the arithmetic that fills
+    it, and fewer allocations are faster even where it does not.
+    """
+    z = 2.0 * u_polar
+    z -= 1.0
+    s = 1.0 - z * z
+    np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+    t = u_azimuth - 0.5
+    t *= np.pi
+    np.tan(t, out=t)  # tan(theta / 2)
+    t_sq = t * t
+    w = 1.0 + t_sq
+    np.divide(s, w, out=w)  # s / (1 + t^2)
+    x = np.subtract(1.0, t_sq, out=t_sq)
+    x *= w  # s cos(theta)
+    y = np.multiply(2.0, t, out=t)
+    y *= w  # s sin(theta)
+    length = _norm3(x, y, z)
+    x /= length
+    y /= length
+    z /= length
+    return x, y, z
+
+
 def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndarray:
     """Bloch vectors determined by (seed, stream, index), vectorized.
 
     Each index yields the same vector no matter how calls are batched or
     ordered, which is what makes verification sweeps partitionable.
+
+    This is sampler version 2.  Index i reads the splitmix64 words at
+    counter positions 4i (polar), 4i + 1 (azimuth) and 4i + 2 (radius);
+    the azimuth's cosine and sine come from its half-angle tangent (see
+    _direction) instead of sin and cos, so every vector, and with it
+    every ``verify`` envelope, differs from version 1's.  The bits are
+    identical across runs, batches, block partitions and thread counts
+    on one machine, but tan, cbrt, exp and log run as numpy vector
+    kernels chosen by CPU dispatch, so they can differ in the last bits
+    between CPUs with different SIMD extensions.
 
     Args:
         seed: unsigned 64-bit integer.
@@ -338,22 +421,15 @@ def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndar
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer) or np.any(idx < 0) or np.any(idx >= _INDEX_LIMIT):
         raise ValueError("indices must be integers in [0, 2**62)")
-    scalar = idx.ndim == 0
-    idx = np.atleast_1d(idx).astype(np.uint64)
+    shape = idx.shape
+    idx = idx.reshape(-1).astype(np.uint64)
 
     key = _splitmix_at(_splitmix_at(np.uint64(seed), np.uint64(0)), np.uint64(stream))
     with np.errstate(over="ignore"):
-        base = idx * np.uint64(4)
-        u_polar = _unit_interval(_splitmix_at(key, base))
-        u_azimuth = _unit_interval(_splitmix_at(key, base + np.uint64(1)))
-        u_radius = _unit_interval(_splitmix_at(key, base + np.uint64(2)))
-
-    # Uniform direction on the sphere: z uniform in [-1, 1), azimuth uniform.
-    z = 2.0 * u_polar - 1.0
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    theta = (2.0 * np.pi) * u_azimuth
-    dx, dy = s * np.cos(theta), s * np.sin(theta)
-    length = _norm3(dx, dy, z)
+        # One row of words per counter offset, drawn in one pass: fewer,
+        # longer numpy calls, which is what lets sweep threads overlap.
+        position = idx * np.uint64(4) + _WORD_OFFSETS
+    u_polar, u_azimuth, u_radius = _unit_interval(_splitmix_at(key, position))
 
     if regime == "uniform_ball":
         # |n|^3 uniform in [0, 1) gives uniform density over the ball volume.
@@ -366,10 +442,12 @@ def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndar
     elif regime == "near_mixed":
         radius = _NEAR_MIXED_MAX * u_radius
     else:  # pure
-        radius = np.ones_like(u_radius)
+        radius = 1.0
 
-    out = np.stack([radius * (k / length) for k in (dx, dy, z)], axis=-1)
-    return out[0] if scalar else out
+    out = np.empty((idx.size, 3))
+    for k, component in enumerate(_direction(u_polar, u_azimuth)):
+        np.multiply(radius, component, out=out[:, k])
+    return out.reshape(shape + (3,))
 
 
 def random_bloch(seed, regime: str) -> np.ndarray:

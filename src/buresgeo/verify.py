@@ -40,19 +40,21 @@ __all__ = ["FidelityReport", "SweepSummary", "compare", "sweep"]
 NEAR_PURE_BAND = 1e-3
 NEAR_MIXED_BAND = 1e-3
 
-# Trials per sweep block.  Measured on a 2-core Xeon with numpy 2.4.6,
-# a 1e6-trial sweep took 3.8-4.1 s at 16384, 4.2 s at 1024 (per-call
-# overhead) and 4.6-5.1 s at 262144 and above (intermediates fall out of
-# cache).  Peak RSS was 51 MB at 16384, 79 MB at 65536 and 566 MB with
-# the whole range in one block.  With two threads, 1e5 trials took
-# 35-38 ms at 16384, 42-49 ms at 8192, 63-67 ms at 4096 and 42-44 ms at
-# 32768.
+# Trials per sweep block.  Measured on a 2-core Xeon with numpy 2.4.6 and
+# two threads, after one 1e6-trial sweep in the same process: a 1e5-trial
+# sweep took 23-27 ms at 16384, 25 ms at 32768, 35-36 ms at 8192 and at
+# 65536 (intermediates fall out of cache) and 55-59 ms at 4096 (per-call
+# overhead).  Peak RSS of the 1e6-trial sweep was 46 MB at 16384, 55 MB
+# at 32768 and 74-75 MB at 65536.
 _BLOCK = 16384
 
 # Most threads one sweep runs on.  Each holds one block of temporaries,
-# about 4.5 MB of peak RSS per thread at 16384, so the cap bounds that
-# memory.  On the 2-core Xeon, two threads ran a 1e5-trial sweep 1.45x
-# faster than one; more cores were not available to measure.
+# about 4 MB of peak RSS per thread at 16384, so the cap bounds that
+# memory.  On the 2-core Xeon, two threads ran a 1e6-trial sweep 1.45x
+# and a 1e5-trial sweep 1.2-1.3x faster than one: the numpy calls on one
+# block are short, and each hands the interpreter lock back and forth.
+# Three or four threads were no faster than two there; more cores were
+# not available to measure.
 _MAX_THREADS = 4
 
 # Largest trial count a sweep accepts.  The per-trial spreads live in one

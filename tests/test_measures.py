@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
-from buresgeo.measures import _clamp_unit
+from buresgeo.measures import _clamp_unit, _matrix_fidelity
 
 U_HALF_X = np.array([0.5, 0.0, 0.0])
 V_HALF_Y = np.array([0.0, 0.5, 0.0])
@@ -41,6 +41,12 @@ class TestTraceDistance:
         assert abs(trace_distance_brute(rho1, rho2) - expected) < 1e-15
         np.testing.assert_allclose(bg.trace_distance_matrix(rho1, rho2), expected, atol=1e-12)
         np.testing.assert_allclose(bg.trace_distance_bloch(U_HALF_X, V_HALF_Y), expected, atol=1e-12)
+
+    def test_tiny_difference_keeps_its_size(self):
+        # The difference of two states is far below density scale; its
+        # eigenvalues +-1e-170 would vanish if their squares underflowed.
+        rho = np.array([[0.5, 1e-170], [1e-170, 0.5]])
+        assert bg.trace_distance_matrix(rho, np.eye(2) / 2) == 1e-170
 
     def test_routes_agree_all_regimes(self):
         for _, _, u, v in regime_pairs(101, 100_000):
@@ -82,6 +88,15 @@ class TestBuresFidelityMatrix:
     def test_rejects_invalid_input(self):
         with pytest.raises(ValueError, match="trace"):
             bg.bures_fidelity_matrix(np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
+    def test_psd_check_has_one_message_for_one_pair_and_a_batch(self, shape):
+        # The kernel trusts its entries; rho2 = diag(1.5, -0.5) against the
+        # maximally mixed rho1 gives m = rho2 / 2, eigenvalue -0.25.
+        rho1 = tuple(np.full(shape, x) for x in (0.5, 0.5, 0.0, 0.0))
+        rho2 = tuple(np.full(shape, x)[()] for x in (1.5, -0.5, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"^sqrt\(rho1\) rho2 sqrt\(rho1\) has eigenvalue -2\.500e-01 < -1e-10$"):
+            _matrix_fidelity(rho1, rho2)
 
 
 class TestLambdaRoots:

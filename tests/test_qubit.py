@@ -1,12 +1,14 @@
 """Tests for the Bloch/density correspondence, 2x2 eigensolve and sampler."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
-from buresgeo.qubit import _splitmix_at
+from buresgeo.qubit import _direction, _splitmix_at
 
 RHO_MIXED = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
 RHO_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -125,6 +127,31 @@ class TestHermitianEigenvalues:
         np.testing.assert_allclose(lo + hi, trace, atol=1e-12)
         np.testing.assert_allclose(lo * hi, det, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-310, 1e-320])
+    def test_matches_eigvalsh_at_extreme_scales(self, scale):
+        # Each matrix is scaled by a power of two before the squares are
+        # summed, so huge entries cannot overflow and subnormal ones keep
+        # their gap; results are read in units of the largest entry, plus a
+        # few subnormal steps for the rounding back onto the subnormal grid.
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(400, 2, 2)) + 1j * rng.normal(size=(400, 2, 2))
+        m = scale * (0.5 * (a + np.conj(np.swapaxes(a, -1, -2))))
+        lo, hi = bg.hermitian_eigenvalues(m)
+        expected = np.linalg.eigvalsh(m)
+        atol = 1e-14 * np.max(np.abs(m), axis=(-2, -1)) + 4 * 5e-324
+        assert np.all(np.abs(lo - expected[..., 0]) <= atol)
+        assert np.all(np.abs(hi - expected[..., 1]) <= atol)
+
+    def test_no_overflow_near_the_largest_double(self):
+        # ((a - d)/2)^2 alone would overflow; the eigenvalues +-sqrt(2) 1e308 do not.
+        lo, hi = bg.hermitian_eigenvalues(np.array([[1e308, 1e308], [1e308, -1e308]]))
+        np.testing.assert_allclose([lo, hi], [-np.sqrt(2) * 1e308, np.sqrt(2) * 1e308], rtol=1e-15)
+
+    def test_smallest_subnormal_entries(self):
+        lo, hi = bg.hermitian_eigenvalues(np.array([[5e-324, 5e-324j], [-5e-324j, 0.0]]))
+        expected = np.linalg.eigvalsh(np.array([[5e-324, 5e-324j], [-5e-324j, 0.0]]))
+        np.testing.assert_array_equal([lo, hi], expected)
+
     def test_density_spectrum_is_bloch_norm(self):
         for regime in bg.REGIMES:
             n = bg.random_bloch_indexed(9, regime, np.arange(1000))
@@ -202,6 +229,11 @@ class TestValidateDensityMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             bg.validate_density_matrix(np.array([[np.nan, 0], [0, 1.0]]))
+
+    def test_huge_off_diagonal_reports_its_eigenvalue(self):
+        # Unit trace does not bound b; |b|^2 would overflow to inf unscaled.
+        with pytest.raises(ValueError, match=r"negative eigenvalue -1\.000e\+200"):
+            bg.validate_density_matrix(np.array([[0.5, 1e200], [1e200, 0.5]]))
 
 
 class TestRandomBloch:
@@ -335,3 +367,105 @@ def test_round_trip_property(x, y, z):
     n = np.array([x, y, z])
     recovered = bg.bloch_from_density(bg.density_from_bloch(n))
     np.testing.assert_allclose(recovered, n, atol=1e-12)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    regime=st.sampled_from(bg.REGIMES),
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**62 - 1000),
+    lengths=st.lists(st.integers(1, 67), min_size=1, max_size=12),
+)
+def test_batches_equal_rows_of_one_batch(regime, seed, stream, start, lengths):
+    # Batch lengths 1-67 cut through the vector kernels' SIMD tails: a
+    # row's bits must not depend on where it sits in its batch.
+    idx = np.arange(start, start + sum(lengths))
+    whole = bg.random_bloch_indexed(seed, regime, idx, stream=stream)
+    cuts = np.cumsum([0, *lengths])
+    parts = [bg.random_bloch_indexed(seed, regime, idx[lo:hi], stream=stream) for lo, hi in zip(cuts, cuts[1:])]
+    assert _same_bits(np.concatenate(parts), whole)
+    assert _same_bits(bg.random_bloch_indexed(seed, regime, idx[::-1], stream=stream), whole[::-1])
+    assert _same_bits(bg.random_bloch_indexed(seed, regime, idx[1::3], stream=stream), whole[1::3])
+    grid = idx[: 2 * (len(idx) // 2)].reshape(2, -1)
+    assert _same_bits(bg.random_bloch_indexed(seed, regime, grid, stream=stream), whole[: grid.size].reshape(grid.shape + (3,)))
+    for i in (0, len(idx) - 1):
+        assert _same_bits(bg.random_bloch_indexed(seed, regime, int(idx[i]), stream=stream), whole[i])
+        assert _same_bits(bg.random_bloch_indexed(seed, regime, idx[i], stream=stream), whole[i])
+
+
+@pytest.mark.parametrize("u_polar", [0.0, 2.0**-53, 0.25, 0.5, 1.0 - 2.0**-53])
+def test_direction_is_finite_and_unit_at_the_azimuth_ends(u_polar):
+    # u_azimuth = 0 puts tan at -pi/2 (about -1.6e16); 1 - 2**-53 just below +pi/2.
+    u_azimuth = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    x, y, z = _direction(np.full(4, u_polar), u_azimuth)
+    assert np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(z).all()
+    np.testing.assert_allclose(np.sqrt(x * x + y * y + z * z), 1.0, rtol=0.0, atol=4e-16)
+    s = np.sqrt(max(1.0 - (2.0 * u_polar - 1.0) ** 2, 0.0))
+    # theta = -pi at both ends (x = -s), within 2 pi 2**-53 = 7e-16 of it one
+    # word in, and theta = 0 in the middle (x = s, y = 0).
+    np.testing.assert_allclose(x, [-s, -s, s, -s], atol=1e-15)
+    np.testing.assert_allclose(y, 0.0, atol=2e-15)
+    assert y[2] == 0.0
+
+
+def test_azimuth_fills_equal_sectors_uniformly():
+    # 16 equal sectors of atan2(y, x), 160000 seeded pure states: chi-square
+    # with 15 degrees of freedom, against its 0.1% critical value 37.70.
+    n = bg.random_bloch_indexed(2718, "pure", np.arange(160_000))
+    theta = np.arctan2(n[:, 1], n[:, 0])
+    sector = np.minimum(((theta + np.pi) * (16 / (2 * np.pi))).astype(int), 15)
+    counts = np.bincount(sector, minlength=16)
+    expected = len(theta) / 16
+    chi_square = float(np.sum((counts - expected) ** 2 / expected))
+    assert chi_square < 37.70, (chi_square, counts)
+
+
+def _reference_sample(seed, regime, index, stream):
+    """Sampler version 2 written out with Python ints and the math module.
+
+    Words at counter positions 4i (polar), 4i + 1 (azimuth), 4i + 2
+    (radius); the azimuth is theta = 2 pi (u - 1/2), here through
+    math.cos and math.sin rather than the half-angle tangent.
+    """
+    mask = 2**64 - 1
+
+    def splitmix(key, position):
+        x = (key + (position + 1) * 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        return x ^ (x >> 31)
+
+    key = splitmix(splitmix(seed, 0), stream)
+    u_polar, u_azimuth, u_radius = ((splitmix(key, 4 * index + j) >> 11) * 2.0**-53 for j in range(3))
+    z = 2.0 * u_polar - 1.0
+    s = math.sqrt(max(1.0 - z * z, 0.0))
+    theta = 2.0 * math.pi * (u_azimuth - 0.5)
+    direction = np.array([s * math.cos(theta), s * math.sin(theta), z])
+    log_lo, log_hi = math.log(1e-9), math.log(1e-3)
+    radius = {
+        "uniform_ball": u_radius ** (1.0 / 3.0),
+        "near_pure": 1.0 - math.exp(log_lo + u_radius * (log_hi - log_lo)),
+        "near_mixed": 1e-3 * u_radius,
+        "pure": 1.0,
+    }[regime]
+    return radius * direction / math.sqrt(float(direction @ direction))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    regime=st.sampled_from(bg.REGIMES),
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    index=st.one_of(st.integers(0, 1000), st.integers(0, 2**62 - 1)),
+)
+def test_sampler_matches_its_written_out_definition(regime, seed, stream, index):
+    # Pins the word positions, the azimuth range and the radius laws to a
+    # few ulps, which CPU dispatch cannot move (measured at most 4.4e-16,
+    # with numpy's AVX-512 kernels and with its baseline ones).
+    ours = bg.random_bloch_indexed(seed, regime, index, stream=stream)
+    np.testing.assert_allclose(ours, _reference_sample(seed, regime, index, stream), rtol=0.0, atol=2e-15)
