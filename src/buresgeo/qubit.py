@@ -97,9 +97,17 @@ def _float3(n) -> np.ndarray:
 def _checked_bloch(n):
     """Validate n as in as_bloch_vector; return (n, |n|), the norm computed once."""
     n = _float3(n)
-    if not np.isfinite(n).all():
-        raise ValueError("Bloch vector has non-finite components")
-    r = _norm3(*_xyz(n))
+    if np.abs(n).max(initial=0.0) <= 1.0 + BALL_EPS:  # False on NaN
+        r = _norm3(*_xyz(n))
+    else:
+        if not np.isfinite(n).all():
+            raise ValueError("Bloch vector has non-finite components")
+        # Components near the largest double overflow the squares to inf,
+        # which the ball check below rejects; numpy's warning would only
+        # repeat that ahead of the ValueError.  Kept off the common path,
+        # where entering errstate would cost more than the norm.
+        with np.errstate(over="ignore"):
+            r = _norm3(*_xyz(n))
     if (r > 1.0 + BALL_EPS).any():
         raise ValueError(f"Bloch vector norm {float(np.max(r))!r} lies outside the unit ball")
     return n, r
@@ -209,9 +217,18 @@ def _bloch_of(rho) -> np.ndarray:
     return np.stack(_bloch_of_entries(*_entries(rho)), axis=-1)
 
 
+def _check_finite(m, what: str) -> None:
+    """Raise unless every entry of the complex matrices m is finite."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
+
+
 def _check_hermitian(m, tol: float, what: str) -> None:
     """Raise unless every entry of |m - m^dag| is at most tol."""
-    skew = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
+    # Opposite entries near the largest double overflow the difference to
+    # inf, which the comparison rejects; the warning would only repeat it.
+    with np.errstate(over="ignore"):
+        skew = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
     if skew > tol:
         raise ValueError(f"{what} is not Hermitian (max |m - m^dag| = {float(skew):.3e})")
 
@@ -221,8 +238,7 @@ def _checked_density(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
-        raise ValueError("density matrix has non-finite entries")
+    _check_finite(rho, "density matrix")
     _check_hermitian(rho, _HERMITIAN_TOL, "density matrix")
     trace = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
     if np.any(trace > _TRACE_TOL):
@@ -253,7 +269,8 @@ def hermitian_eigenvalues(m):
     ones included, neither overflow nor underflow the squares.
 
     Args:
-        m: array of shape (..., 2, 2), Hermitian to within 1e-10.
+        m: array of shape (..., 2, 2) with finite entries, Hermitian to
+            within 1e-10.
 
     Returns:
         Tuple (lambda_minus, lambda_plus) with lambda_minus <= lambda_plus.
@@ -261,6 +278,9 @@ def hermitian_eigenvalues(m):
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    # First: a NaN or infinite entry makes the Hermitian skew NaN, which
+    # no tolerance comparison rejects.
+    _check_finite(m, "matrix")
     _check_hermitian(m, _EIG_HERMITIAN_TOL, "matrix")
     upper = m[..., 0, 1]
     return _eig2_scaled(m[..., 0, 0].real, m[..., 1, 1].real, upper.real, upper.imag)
@@ -311,35 +331,39 @@ _SM_MUL2 = np.uint64(0x94D049BB133111EB)
 _NEAR_MIXED_MAX = 1e-3
 _NEAR_PURE_GAP_LO = 1e-9
 _NEAR_PURE_GAP_HI = 1e-3
+_LOG_GAP_LO = np.log(_NEAR_PURE_GAP_LO)
+_LOG_GAP_HI = np.log(_NEAR_PURE_GAP_HI)
+
+
+def _mix64(x, tmp=None):
+    """splitmix64's output function of the uint64 words x, in place if x is an array.
+
+    ``tmp``, an array of x's shape and dtype, takes the shifted words, so
+    a caller that holds one spares three fresh temporaries.
+    """
+    x ^= np.right_shift(x, np.uint64(30), out=tmp)
+    x *= _SM_MUL1
+    x ^= np.right_shift(x, np.uint64(27), out=tmp)
+    x *= _SM_MUL2
+    x ^= np.right_shift(x, np.uint64(31), out=tmp)
+    return x
 
 
 def _splitmix_at(key, position):
-    """splitmix64 output under one key word at the given counter position(s), vectorized.
-
-    The mixing runs in place on one fresh array (see _direction for why).
-    """
+    """splitmix64 output under one key word at the given counter position(s), vectorized."""
     with np.errstate(over="ignore"):
         x = np.asarray(position, dtype=np.uint64) + np.uint64(1)
         x *= _SM_GAMMA
         x += np.asarray(key, dtype=np.uint64)
-        x ^= x >> np.uint64(30)
-        x *= _SM_MUL1
-        x ^= x >> np.uint64(27)
-        x *= _SM_MUL2
-        x ^= x >> np.uint64(31)
-        return x
-
-
-def _unit_interval(words) -> np.ndarray:
-    """Map 64-bit words to doubles in [0, 1) using the top 53 bits."""
-    return (words >> np.uint64(11)) * (2.0 ** -53)
+        return _mix64(x)
 
 
 # Largest index plus one: each index owns the four counter positions
 # 4i .. 4i + 3, which must not wrap around 2**64.  The sampler reads the
-# first three: polar, azimuth and radius.
+# first three: polar, azimuth and radius.  splitmix64 mixes position + 1,
+# so the words sit at 4i + 1 .. 4i + 3 of its counter.
 _INDEX_LIMIT = 2**62
-_WORD_OFFSETS = np.arange(3, dtype=np.uint64)[:, None]
+_WORD_COUNTERS = np.arange(1, 4, dtype=np.uint64)[:, None]
 
 
 def _check_int(value, name: str, lo: int, hi: int) -> int:
@@ -387,6 +411,57 @@ def _direction(u_polar, u_azimuth):
     return x, y, z
 
 
+def _radius(regime: str, u) -> None:
+    """Overwrite the uniforms u in [0, 1) with the norms of regime's vectors."""
+    if regime == "uniform_ball":
+        # |n|^3 uniform in [0, 1) gives uniform density over the ball volume.
+        np.cbrt(u, out=u)
+    elif regime == "near_pure":
+        # 1 - |n| log-uniform in [_NEAR_PURE_GAP_LO, _NEAR_PURE_GAP_HI).
+        u *= _LOG_GAP_HI - _LOG_GAP_LO
+        u += _LOG_GAP_LO
+        np.exp(u, out=u)
+        np.subtract(1.0, u, out=u)
+    elif regime == "near_mixed":
+        u *= _NEAR_MIXED_MAX
+    else:  # pure
+        u.fill(1.0)
+
+
+def _uniform_words(seed: int, streams, indices, out) -> None:
+    """Fill out[s, j] with word j of each index in stream s, as doubles in [0, 1).
+
+    A double takes its word's top 53 bits.  out's memory serves as the
+    mixer's scratch until the doubles overwrite it.
+    """
+    keys = _splitmix_at(_splitmix_at(np.uint64(seed), np.uint64(0)), np.array(streams, dtype=np.uint64))
+    counter = indices * np.uint64(4) + _WORD_COUNTERS
+    counter *= _SM_GAMMA
+    words = _mix64(counter + keys[:, None, None], out.view(np.uint64))
+    words >>= np.uint64(11)
+    np.multiply(words, 2.0**-53, out=out)
+
+
+def _sample_streams(seed: int, streams, regimes, indices) -> np.ndarray:
+    """Sampler version 2 over several streams of one seed, in one pass; trusts its inputs.
+
+    Takes seed and each stream as ints in [0, 2**64), one regime of
+    REGIMES per stream and a 1-D uint64 array of indices below 2**62, and
+    returns the array of shape (len(streams), 3, len(indices)) whose row
+    [s, k] holds component k of stream s's vectors: random_bloch_indexed
+    of each stream, component-major.  The counter positions are formed
+    once, and every numpy call after that covers all streams, so a sweep
+    block draws both of its sides with one set of calls.
+    """
+    out = np.empty((len(streams), 3, indices.size))
+    _uniform_words(seed, streams, indices, out)
+    for s, regime in enumerate(regimes):
+        _radius(regime, out[s, 2])
+    for k, component in enumerate(_direction(out[:, 0], out[:, 1])):
+        np.multiply(out[:, 2], component, out=out[:, k])
+    return out
+
+
 def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndarray:
     """Bloch vectors determined by (seed, stream, index), vectorized.
 
@@ -421,33 +496,8 @@ def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndar
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer) or np.any(idx < 0) or np.any(idx >= _INDEX_LIMIT):
         raise ValueError("indices must be integers in [0, 2**62)")
-    shape = idx.shape
-    idx = idx.reshape(-1).astype(np.uint64)
-
-    key = _splitmix_at(_splitmix_at(np.uint64(seed), np.uint64(0)), np.uint64(stream))
-    with np.errstate(over="ignore"):
-        # One row of words per counter offset, drawn in one pass: fewer,
-        # longer numpy calls, which is what lets sweep threads overlap.
-        position = idx * np.uint64(4) + _WORD_OFFSETS
-    u_polar, u_azimuth, u_radius = _unit_interval(_splitmix_at(key, position))
-
-    if regime == "uniform_ball":
-        # |n|^3 uniform in [0, 1) gives uniform density over the ball volume.
-        radius = np.cbrt(u_radius)
-    elif regime == "near_pure":
-        log_lo = np.log(_NEAR_PURE_GAP_LO)
-        log_hi = np.log(_NEAR_PURE_GAP_HI)
-        gap = np.exp(log_lo + u_radius * (log_hi - log_lo))
-        radius = 1.0 - gap
-    elif regime == "near_mixed":
-        radius = _NEAR_MIXED_MAX * u_radius
-    else:  # pure
-        radius = 1.0
-
-    out = np.empty((idx.size, 3))
-    for k, component in enumerate(_direction(u_polar, u_azimuth)):
-        np.multiply(radius, component, out=out[:, k])
-    return out.reshape(shape + (3,))
+    out = _sample_streams(seed, (stream,), (regime,), idx.reshape(-1).astype(np.uint64))
+    return out[0].T.reshape(idx.shape + (3,))
 
 
 def random_bloch(seed, regime: str) -> np.ndarray:

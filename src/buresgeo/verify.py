@@ -29,6 +29,7 @@ from .qubit import (
     _density_entries,
     _dot3,
     _norm3,
+    _sample_streams,
     _xyz,
     random_bloch_indexed,
 )
@@ -41,20 +42,21 @@ NEAR_PURE_BAND = 1e-3
 NEAR_MIXED_BAND = 1e-3
 
 # Trials per sweep block.  Measured on a 2-core Xeon with numpy 2.4.6 and
-# two threads, after one 1e6-trial sweep in the same process: a 1e5-trial
-# sweep took 23-27 ms at 16384, 25 ms at 32768, 35-36 ms at 8192 and at
-# 65536 (intermediates fall out of cache) and 55-59 ms at 4096 (per-call
-# overhead).  Peak RSS of the 1e6-trial sweep was 46 MB at 16384, 55 MB
-# at 32768 and 74-75 MB at 65536.
+# two threads, after one 1e6-trial sweep in the same process, with both
+# sampler streams drawn in one pass: a 1e5-trial sweep took 17-20 ms at
+# 16384, 18-19 ms at 32768, 26-28 ms at 8192 and at 65536
+# (intermediates fall out of cache) and 43-47 ms at 4096 (per-call
+# overhead).  Peak RSS of the 1e6-trial sweep was 47 MB at 16384,
+# 56-57 MB at 32768 and 74-77 MB at 65536.
 _BLOCK = 16384
 
 # Most threads one sweep runs on.  Each holds one block of temporaries,
-# about 4 MB of peak RSS per thread at 16384, so the cap bounds that
-# memory.  On the 2-core Xeon, two threads ran a 1e6-trial sweep 1.45x
-# and a 1e5-trial sweep 1.2-1.3x faster than one: the numpy calls on one
-# block are short, and each hands the interpreter lock back and forth.
-# Three or four threads were no faster than two there; more cores were
-# not available to measure.
+# about 5 MB of peak RSS per thread at 16384, so the cap bounds that
+# memory.  On the 2-core Xeon, two threads ran a 1e6-trial sweep
+# 1.3-1.4x and a 1e5-trial sweep 1.2-1.4x faster than one thread, which
+# took 21-27 ms: the numpy calls on one block are short, and each hands
+# the interpreter lock back and forth.  Three threads were no faster than
+# two there; more cores were not available to measure.
 _MAX_THREADS = 4
 
 # Largest trial count a sweep accepts.  The per-trial spreads live in one
@@ -163,8 +165,8 @@ def compare(u, v) -> FidelityReport:
 def _route_spread(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized max pairwise route difference, one value per pair.
 
-    Takes the sampler's output as it is: random_bloch_indexed only
-    returns vectors in the closed unit ball, so nothing is re-validated.
+    Takes the sampler's output as it is: the sampler only returns vectors
+    in the closed unit ball, so nothing is re-validated.
     """
     return _routes(u, v, _norm3(*_xyz(u)), _norm3(*_xyz(v)))[3]
 
@@ -192,6 +194,25 @@ def _exact_sum(x: np.ndarray) -> int:
     return total
 
 
+def _p99_sorted(values: np.ndarray) -> float:
+    """The 99th percentile of ascending values, as np.percentile(values, 99.0).
+
+    numpy's default linear method: the order statistics at
+    floor((n - 1) 0.99) and the one after it, interpolated in numpy's
+    rounding order, so the result is equal bit for bit.  A single value
+    takes numpy's index -1 and weight 1.  A NaN sorts last and makes the
+    percentile NaN, as in numpy.
+    """
+    n = len(values)
+    position = (n - 1) * 0.99
+    lo = math.floor(position) if n > 1 else -1
+    a, b = values[lo], values[lo + 1]
+    t = position - lo
+    gap = b - a
+    p99 = b - gap * (1.0 - t) if t >= 0.5 else a + gap * t
+    return math.nan if math.isnan(values[-1]) else float(p99)
+
+
 def _thread_count(blocks: int) -> int:
     """Threads for a sweep of ``blocks`` index blocks: one per usable CPU, capped."""
     try:
@@ -209,11 +230,9 @@ def _sweep_stripe(seed, regime_u, regime_v, diffs, first, step, stop) -> int:
         if stop.is_set():
             break
         hi = min(lo + _BLOCK, trials)
-        idx = np.arange(lo, hi)
-        u = random_bloch_indexed(seed, regime_u, idx, stream=0)
-        v = random_bloch_indexed(seed, regime_v, idx, stream=1)
+        w = _sample_streams(seed, (0, 1), (regime_u, regime_v), np.arange(lo, hi, dtype=np.uint64))
         block = diffs[lo:hi]
-        block[...] = _route_spread(u, v)
+        block[...] = _route_spread(w[0].T, w[1].T)
         total += _exact_sum(block)
     return total
 
@@ -265,9 +284,12 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
     block runs serially).  Each block writes its own range of one
     per-trial array and adds its spreads into an exact integer sum, so
     the output is identical for any block partition and any thread
-    count.  The mean is that sum rounded once, equal to
-    ``math.fsum(spreads) / trials``; ties for the worst pair resolve to
-    the lowest trial index.
+    count.  Each block draws its left (stream 0) and right (stream 1)
+    states in one sampler pass.  The mean is that sum rounded once,
+    equal to ``math.fsum(spreads) / trials``; ties for the worst pair
+    resolve to the lowest trial index.  The spreads are then sorted in
+    place, and the p99 is numpy's linear-method percentile of them,
+    equal to ``np.percentile(spreads, 99.0)``.
 
     ``trials`` may not exceed 2**32: the per-trial spreads take 8 bytes
     each, on top of one block of temporaries per thread.  A count above
@@ -298,8 +320,9 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
     max_diff = float(diffs[worst])
     # Integer division is correctly rounded: this is math.fsum(diffs) / trials.
     mean = sum(totals) / (1 << 1074) / trials
-    # Reads after max_diff: the percentile partitions diffs in place.
-    p99 = float(np.percentile(diffs, 99.0, overwrite_input=True))
+    # Reads after max_diff and worst: the spreads are sorted in place.
+    diffs.sort()
+    p99 = _p99_sorted(diffs)
     worst_u = random_bloch_indexed(seed, regime_u, worst, stream=0)
     worst_v = random_bloch_indexed(seed, regime_v, worst, stream=1)
 

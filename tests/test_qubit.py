@@ -1,6 +1,7 @@
 """Tests for the Bloch/density correspondence, 2x2 eigensolve and sampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
-from buresgeo.qubit import _direction, _splitmix_at
+from buresgeo.qubit import _direction, _sample_streams, _splitmix_at
 
 RHO_MIXED = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
 RHO_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -48,6 +49,14 @@ class TestDensityFromBloch:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="3 components"):
             bg.density_from_bloch([0.1, 0.2])
+
+    def test_norm_overflow_raises_without_a_warning(self):
+        # The squares overflow to inf; only the ValueError may escape.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for huge in ([1e308, 1e308, 0.0], [0.0, -1e200, 1e200]):
+                with pytest.raises(ValueError, match=r"Bloch vector norm inf lies outside the unit ball"):
+                    bg.as_bloch_vector(huge)
 
     def test_bloch_norm_rejects_wrong_shape(self):
         for bad in ([0.1, 0.2], np.zeros((4, 2)), 0.5):
@@ -107,6 +116,31 @@ class TestHermitianEigenvalues:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             bg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_skew_overflow_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not Hermitian"):
+                bg.hermitian_eigenvalues(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+            with pytest.raises(ValueError, match="not Hermitian"):
+                bg.validate_density_matrix(np.array([[0.5, 1e308], [-1e308, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["diagonal", "off_real", "off_imag"])
+    def test_rejects_non_finite(self, bad, where):
+        # Before the Hermitian check: a non-finite entry makes the skew
+        # NaN, which passes any tolerance comparison.
+        m = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
+        if where == "diagonal":
+            m[0, 0] = bad
+        else:
+            entry = bad if where == "off_real" else complex(0.0, bad)
+            m[0, 1] = entry
+            m[1, 0] = np.conj(entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                bg.hermitian_eigenvalues(m)
 
     def test_matches_eigvalsh(self):
         rng = np.random.default_rng(7)
@@ -396,6 +430,29 @@ def test_batches_equal_rows_of_one_batch(regime, seed, stream, start, lengths):
     for i in (0, len(idx) - 1):
         assert _same_bits(bg.random_bloch_indexed(seed, regime, int(idx[i]), stream=stream), whole[i])
         assert _same_bits(bg.random_bloch_indexed(seed, regime, idx[i], stream=stream), whole[i])
+
+
+@pytest.mark.parametrize("regimes", [(u, v) for u in bg.REGIMES for v in bg.REGIMES])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    streams=st.tuples(*[st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1))] * 2),
+    start=st.one_of(st.integers(0, 1000), st.integers(0, 2**62 - 200)),
+    length=st.integers(1, 133),
+)
+def test_two_stream_pass_equals_one_stream_calls(regimes, seed, streams, start, length):
+    # One pass runs every kernel on both streams' rows at once; lengths
+    # 1-133 cut through the SIMD tails differently than one stream does.
+    idx = np.arange(start, start + length)
+    both = _sample_streams(seed, streams, regimes, idx.astype(np.uint64))
+    assert both.shape == (2, 3, length)
+    grid = idx[: 2 * (length // 2)].reshape(2, -1)
+    for s, (stream, regime) in enumerate(zip(streams, regimes)):
+        rows = both[s].T
+        assert _same_bits(bg.random_bloch_indexed(seed, regime, idx, stream=stream), rows)
+        assert _same_bits(bg.random_bloch_indexed(seed, regime, grid, stream=stream), rows[: grid.size].reshape(grid.shape + (3,)))
+        for i in (0, length - 1):
+            assert _same_bits(bg.random_bloch_indexed(seed, regime, int(idx[i]), stream=stream), rows[i])
 
 
 @pytest.mark.parametrize("u_polar", [0.0, 2.0**-53, 0.25, 0.5, 1.0 - 2.0**-53])

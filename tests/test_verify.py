@@ -265,8 +265,8 @@ class TestThreadedSweep:
         monkeypatch.setattr(verify, "_BLOCK", 2)
         _force_threads(monkeypatch, threads)
         monkeypatch.setattr(
-            verify, "random_bloch_indexed",
-            lambda seed, regime, idx, stream: np.stack([np.asarray(idx, dtype=float)] * 3, axis=-1),
+            verify, "_sample_streams",
+            lambda seed, streams, regimes, idx: np.stack([[idx.astype(float)] * 3] * len(streams)),
         )
         monkeypatch.setattr(verify, "_route_spread", lambda u, v: spreads[u[:, 0].astype(int)])
         summary = bg.sweep(0, len(spreads), "pure", "pure")
@@ -354,3 +354,22 @@ def test_exact_block_sum_equals_fsum(values, cuts):
     bounds = sorted({0, len(values), *(min(c, len(values)) for c in cuts)})
     total = sum(verify._exact_sum(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
     assert repr(total / (1 << 1074)) == repr(math.fsum(values))
+
+
+def _p99_cases():
+    """Nonnegative like the spreads: ties, zeros, subnormals and plain draws, then NaN."""
+    rng = np.random.default_rng(99)
+    for n in [*range(1, 2001), 16383, 16385, 100_000]:
+        yield rng.random(n) * 1e-15
+        yield rng.integers(0, 3, n) * 2.0**-52
+        yield np.where(rng.random(n) < 0.7, 0.0, rng.random(n))
+        yield rng.integers(0, 5, n) * 5e-324 + rng.integers(0, 2, n) * 2.2250738585072014e-308
+    yield np.array([np.nan])
+    yield np.array([0.0, np.nan, *rng.random(300)])
+
+
+def test_p99_equals_numpy_percentile():
+    for x in _p99_cases():
+        expected = repr(float(np.percentile(x, 99.0)))
+        x.sort()
+        assert repr(verify._p99_sorted(x)) == expected, len(x)
