@@ -109,11 +109,13 @@ def _cmd_triangle(args) -> int:
         tri = triangle(u, v)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-
-    polylines = {
-        name: geodesic_points(getattr(tri, start), getattr(tri, end), args.samples_per_edge).tolist()
-        for name, start, end in _EDGES
-    }
+    try:
+        polylines = {
+            name: geodesic_points(getattr(tri, start), getattr(tri, end), args.samples_per_edge).tolist()
+            for name, start, end in _EDGES
+        }
+    except ValueError as exc:
+        raise _UsageError(f"--samples-per-edge: {exc}") from None
 
     if args.format == "csv":
         lines = ["edge,index,x,y"]

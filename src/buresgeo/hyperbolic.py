@@ -14,13 +14,14 @@ fidelity value can be inspected and plotted.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .measures import _clamp_unit
-from .qubit import PURE_NORM, _checked_bloch, _dot3, _gamma, _hermitian2, _norm3, _xyz
+from .qubit import PURE_NORM, _check_int, _checked_bloch, _dot3, _gamma, _hermitian2, _norm3, _xyz
 
 __all__ = [
     "DEGENERATE_NORM",
@@ -42,6 +43,10 @@ __all__ = [
 DEGENERATE_NORM = 1e-12
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+# Most points geodesic_points returns: 2**20 rows of (x, y) take 16 MiB,
+# far beyond any plot, and larger counts are refused before allocating.
+_MAX_POLYLINE_POINTS = 2**20
 
 
 class Rapidity(NamedTuple):
@@ -218,8 +223,20 @@ def _geodesic_midpoint(b: complex, c: complex) -> complex:
     rt = abs(t)
     if rt == 0.0:
         return b
-    d = disk_distance((b.real, b.imag), (c.real, c.imag))
+    d = _disk_distance((b.real, b.imag), (c.real, c.imag))
     return _mobius_from_origin(b, math.tanh(d / 4.0) * (t / rt))
+
+
+def _disk_point(p) -> complex:
+    """p, a 2-vector or a complex number, as a complex number strictly inside the unit disk."""
+    if not isinstance(p, complex):
+        xy = np.asarray(p, dtype=float)
+        if xy.shape != (2,):
+            raise ValueError(f"a Poincare-disk point has 2 coordinates, got shape {xy.shape}")
+        p = complex(*xy)
+    if not 1.0 - (p.real * p.real + p.imag * p.imag) > 0.0:  # False on NaN
+        raise ValueError(f"Poincare-disk point {p!r} does not lie strictly inside the unit disk")
+    return p
 
 
 def geodesic_points(p, q, count: int) -> np.ndarray:
@@ -227,11 +244,14 @@ def geodesic_points(p, q, count: int) -> np.ndarray:
 
     Endpoints are returned exactly.  Points are (x, y) rows; p and q may
     be 2-vectors or complex numbers strictly inside the unit disk.
+    ``count`` is an integer from 2 to _MAX_POLYLINE_POINTS; anything
+    else, like a point on or outside the rim, raises ValueError.
     """
-    if count < 2:
+    if isinstance(count, numbers.Integral) and count < 2:
         raise ValueError("a geodesic polyline needs at least 2 points")
-    b = complex(*np.asarray(p, dtype=float)) if not isinstance(p, complex) else p
-    c = complex(*np.asarray(q, dtype=float)) if not isinstance(q, complex) else q
+    count = _check_int(count, "count", 2, _MAX_POLYLINE_POINTS + 1)
+    b = _disk_point(p)
+    c = _disk_point(q)
     t = _mobius_to_origin(b, c)
     rt = abs(t)
     fractions = np.linspace(0.0, 1.0, count)
@@ -239,10 +259,9 @@ def geodesic_points(p, q, count: int) -> np.ndarray:
         z = np.full(count, b, dtype=complex)
     else:
         # Arc length from the stable distance form; |t| saturates near the rim.
-        d = disk_distance((b.real, b.imag), (c.real, c.imag))
+        d = _disk_distance((b.real, b.imag), (c.real, c.imag))
         radii = np.tanh(fractions * (d / 2.0))
-        ray = radii * (t / rt)
-        z = (ray + b) / (1.0 + b.conjugate() * ray)
+        z = _mobius_from_origin(b, radii * (t / rt))
     out = np.column_stack([z.real, z.imag])
     out[0] = (b.real, b.imag)
     out[-1] = (c.real, c.imag)
@@ -254,7 +273,19 @@ def disk_distance(p, q) -> float:
 
     Uses arccosh(1 + 2|p-q|^2 / ((1-|p|^2)(1-|q|^2))), which stays
     accurate out to the rim where the Mobius-quotient form cancels.
+    Points on or outside the rim, or not finite, raise ValueError.
     """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore"):  # a huge coordinate's depth overflows to -inf
+        inside = (1.0 - np.sum(p * p, axis=-1) > 0.0) & (1.0 - np.sum(q * q, axis=-1) > 0.0)
+    if not inside.all():  # False on NaN
+        raise ValueError("Poincare-disk points must lie strictly inside the unit disk")
+    return _disk_distance(p, q)
+
+
+def _disk_distance(p, q):
+    """disk_distance of points known to lie strictly inside the disk."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     pq2 = np.sum((p - q) ** 2, axis=-1)

@@ -94,21 +94,23 @@ def _float3(n) -> np.ndarray:
     return n
 
 
+def _quiet_norm(n):
+    """_norm3 of the float vectors n; inf, without numpy's warning, where the squares overflow."""
+    if np.abs(n).max(initial=0.0) <= 1.0 + BALL_EPS:  # False on NaN
+        return _norm3(*_xyz(n))
+    # Components past about 1e154 overflow the squares.  Kept off the
+    # common path, where entering errstate would cost more than the norm.
+    with np.errstate(over="ignore"):
+        return _norm3(*_xyz(n))
+
+
 def _checked_bloch(n):
     """Validate n as in as_bloch_vector; return (n, |n|), the norm computed once."""
     n = _float3(n)
-    if np.abs(n).max(initial=0.0) <= 1.0 + BALL_EPS:  # False on NaN
-        r = _norm3(*_xyz(n))
-    else:
+    r = _quiet_norm(n)
+    if not (r <= 1.0 + BALL_EPS).all():  # also on NaN
         if not np.isfinite(n).all():
             raise ValueError("Bloch vector has non-finite components")
-        # Components near the largest double overflow the squares to inf,
-        # which the ball check below rejects; numpy's warning would only
-        # repeat that ahead of the ValueError.  Kept off the common path,
-        # where entering errstate would cost more than the norm.
-        with np.errstate(over="ignore"):
-            r = _norm3(*_xyz(n))
-    if (r > 1.0 + BALL_EPS).any():
         raise ValueError(f"Bloch vector norm {float(np.max(r))!r} lies outside the unit ball")
     return n, r
 
@@ -122,8 +124,12 @@ def as_bloch_vector(n) -> np.ndarray:
 
 
 def bloch_norm(n) -> np.ndarray:
-    """Euclidean norm of Bloch vectors of shape (..., 3), over the last axis."""
-    return _norm3(*_xyz(_float3(n)))
+    """Euclidean norm of Bloch vectors of shape (..., 3), over the last axis.
+
+    The vectors are not validated, so any real 3-vector has a norm; it is
+    inf once the squares overflow, for components past about 1e154.
+    """
+    return _quiet_norm(_float3(n))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +325,8 @@ def sqrt_density(rho) -> np.ndarray:
 # Trials must be bit-reproducible for any execution order or block
 # partitioning, so randomness is a pure function of (seed, stream, index)
 # rather than sequential generator state: each needed 64-bit word is the
-# splitmix64 output at an explicit counter position.
+# splitmix64 output at an explicit counter position, under a key that
+# depends on (seed, stream) alone and is derived once per caller.
 # ---------------------------------------------------------------------------
 
 REGIMES = ("uniform_ball", "near_pure", "near_mixed", "pure")
@@ -328,11 +335,15 @@ _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MUL2 = np.uint64(0x94D049BB133111EB)
 
-_NEAR_MIXED_MAX = 1e-3
+# Norm bands of the near_pure and near_mixed regimes, which the sampler
+# draws from and verify.compare flags: within NEAR_PURE_BAND of the
+# sphere is near pure, below NEAR_MIXED_BAND near mixed.  The sampler
+# draws near-pure gaps 1 - |n| no smaller than _NEAR_PURE_GAP_LO.
+NEAR_PURE_BAND = 1e-3
+NEAR_MIXED_BAND = 1e-3
 _NEAR_PURE_GAP_LO = 1e-9
-_NEAR_PURE_GAP_HI = 1e-3
 _LOG_GAP_LO = np.log(_NEAR_PURE_GAP_LO)
-_LOG_GAP_HI = np.log(_NEAR_PURE_GAP_HI)
+_LOG_GAP_HI = np.log(NEAR_PURE_BAND)
 
 
 def _mix64(x, tmp=None):
@@ -417,44 +428,42 @@ def _radius(regime: str, u) -> None:
         # |n|^3 uniform in [0, 1) gives uniform density over the ball volume.
         np.cbrt(u, out=u)
     elif regime == "near_pure":
-        # 1 - |n| log-uniform in [_NEAR_PURE_GAP_LO, _NEAR_PURE_GAP_HI).
+        # 1 - |n| log-uniform in [_NEAR_PURE_GAP_LO, NEAR_PURE_BAND).
         u *= _LOG_GAP_HI - _LOG_GAP_LO
         u += _LOG_GAP_LO
         np.exp(u, out=u)
         np.subtract(1.0, u, out=u)
     elif regime == "near_mixed":
-        u *= _NEAR_MIXED_MAX
+        u *= NEAR_MIXED_BAND
     else:  # pure
         u.fill(1.0)
 
 
-def _uniform_words(seed: int, streams, indices, out) -> None:
-    """Fill out[s, j] with word j of each index in stream s, as doubles in [0, 1).
-
-    A double takes its word's top 53 bits.  out's memory serves as the
-    mixer's scratch until the doubles overwrite it.
-    """
+def _stream_keys(seed: int, streams) -> np.ndarray:
+    """The key words of the given streams of seed, as a (len(streams), 1, 1) uint64 array."""
     keys = _splitmix_at(_splitmix_at(np.uint64(seed), np.uint64(0)), np.array(streams, dtype=np.uint64))
-    counter = indices * np.uint64(4) + _WORD_COUNTERS
-    counter *= _SM_GAMMA
-    words = _mix64(counter + keys[:, None, None], out.view(np.uint64))
-    words >>= np.uint64(11)
-    np.multiply(words, 2.0**-53, out=out)
+    return keys[:, None, None]
 
 
-def _sample_streams(seed: int, streams, regimes, indices) -> np.ndarray:
+def _sample_streams(keys, regimes, indices) -> np.ndarray:
     """Sampler version 2 over several streams of one seed, in one pass; trusts its inputs.
 
-    Takes seed and each stream as ints in [0, 2**64), one regime of
-    REGIMES per stream and a 1-D uint64 array of indices below 2**62, and
-    returns the array of shape (len(streams), 3, len(indices)) whose row
-    [s, k] holds component k of stream s's vectors: random_bloch_indexed
-    of each stream, component-major.  The counter positions are formed
-    once, and every numpy call after that covers all streams, so a sweep
-    block draws both of its sides with one set of calls.
+    Takes the streams' keys from _stream_keys, one regime of REGIMES per
+    stream and a 1-D uint64 array of indices below 2**62, and returns the
+    array of shape (len(keys), 3, len(indices)) whose row [s, k] holds
+    component k of stream s's vectors: random_bloch_indexed of each
+    stream, component-major.  The counter positions are formed once, and
+    every numpy call after that covers all streams, so a sweep block
+    draws both of its sides with one set of calls.  Word j of an index
+    becomes a double in [0, 1) from its top 53 bits, in out[s, j], whose
+    memory serves as the mixer's scratch until then.
     """
-    out = np.empty((len(streams), 3, indices.size))
-    _uniform_words(seed, streams, indices, out)
+    out = np.empty((len(keys), 3, indices.size))
+    counter = indices * np.uint64(4) + _WORD_COUNTERS
+    counter *= _SM_GAMMA
+    words = _mix64(counter + keys, out.view(np.uint64))
+    words >>= np.uint64(11)
+    np.multiply(words, 2.0**-53, out=out)
     for s, regime in enumerate(regimes):
         _radius(regime, out[s, 2])
     for k, component in enumerate(_direction(out[:, 0], out[:, 1])):
@@ -496,7 +505,7 @@ def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndar
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer) or np.any(idx < 0) or np.any(idx >= _INDEX_LIMIT):
         raise ValueError("indices must be integers in [0, 2**62)")
-    out = _sample_streams(seed, (stream,), (regime,), idx.reshape(-1).astype(np.uint64))
+    out = _sample_streams(_stream_keys(seed, (stream,)), (regime,), idx.reshape(-1).astype(np.uint64))
     return out[0].T.reshape(idx.shape + (3,))
 
 

@@ -4,10 +4,12 @@ Every fidelity in this package can be computed three ways: the matrix
 definition, the closed Bloch form, and the hyperbolic rapidity formula.
 ``compare`` joins the routes valid for one pair of states into a report;
 ``sweep`` drives them over seeded Monte Carlo samples and summarizes the
-disagreement.  Trials are keyed by (seed, index), so a sweep returns the
-same result for any partition of the index range into blocks, and for
-any number of threads running those blocks, not merely a statistically
-equivalent one.
+disagreement.  Trials are keyed by (seed, index): a sweep derives its two
+stream keys once and varies only the index, so it returns the same
+result for any partition of the index range into blocks, and for any
+number of threads running those blocks, not merely a statistically
+equivalent one.  One stripe loop runs the blocks: stripe 0 on the
+calling thread, the others on threads it starts and joins itself.
 """
 
 import math
@@ -22,6 +24,8 @@ import numpy as np
 from .hyperbolic import _hyperbolic_fidelity
 from .measures import _closed_fidelity, _matrix_fidelity, _trace_distance
 from .qubit import (
+    NEAR_MIXED_BAND,
+    NEAR_PURE_BAND,
     PURE_NORM,
     REGIMES,
     _check_int,
@@ -30,16 +34,11 @@ from .qubit import (
     _dot3,
     _norm3,
     _sample_streams,
+    _stream_keys,
     _xyz,
-    random_bloch_indexed,
 )
 
 __all__ = ["FidelityReport", "SweepSummary", "compare", "sweep"]
-
-# Norm bands for the regime flags on a report: within NEAR_PURE_BAND of
-# the sphere counts as near_pure, below NEAR_MIXED_BAND as near_mixed.
-NEAR_PURE_BAND = 1e-3
-NEAR_MIXED_BAND = 1e-3
 
 # Trials per sweep block.  Measured on a 2-core Xeon with numpy 2.4.6 and
 # two threads, after one 1e6-trial sweep in the same process, with both
@@ -222,36 +221,32 @@ def _thread_count(blocks: int) -> int:
     return max(1, min(cpus, blocks, _MAX_THREADS))
 
 
-def _sweep_stripe(seed, regime_u, regime_v, diffs, first, step, stop) -> int:
-    """Fill diffs over blocks first, first + step, ...; return their exact sum."""
-    trials = len(diffs)
-    total = 0
-    for lo in range(first * _BLOCK, trials, step * _BLOCK):
-        if stop.is_set():
-            break
-        hi = min(lo + _BLOCK, trials)
-        w = _sample_streams(seed, (0, 1), (regime_u, regime_v), np.arange(lo, hi, dtype=np.uint64))
-        block = diffs[lo:hi]
-        block[...] = _route_spread(w[0].T, w[1].T)
-        total += _exact_sum(block)
-    return total
+def _run_stripes(keys, regimes, diffs, threads: int) -> int:
+    """Fill diffs with the spreads of every block; return their exact sum.
 
-
-def _run_striped(work, threads: int) -> list:
-    """Return [work(t, threads, stop) for t in range(threads)], run concurrently.
-
-    Stripe 0 runs on the calling thread, the others on their own threads,
-    all of which are joined before this returns or raises.  The first
-    exception a stripe raises sets ``stop``, which the others check
-    between blocks, and is re-raised here as it is.
+    Stripe t runs blocks t, t + threads, t + 2 threads, ...: stripe 0 on
+    the calling thread, the others on their own threads, all of which are
+    joined before this returns or raises.  Every stripe checks ``stop``
+    before each block; the first exception a stripe raises sets it, and
+    is re-raised here as the same object.  Each block appends its exact
+    sum, a Python int, so the total does not depend on the order in which
+    the stripes append.
     """
+    trials = len(diffs)
     stop = threading.Event()
-    results = [None] * threads
+    sums = []
     errors = []
 
-    def run(t):
+    def stripe(t):
         try:
-            results[t] = work(t, threads, stop)
+            for lo in range(t * _BLOCK, trials, threads * _BLOCK):
+                if stop.is_set():
+                    return
+                hi = min(lo + _BLOCK, trials)
+                w = _sample_streams(keys, regimes, np.arange(lo, hi, dtype=np.uint64))
+                block = diffs[lo:hi]
+                block[...] = _route_spread(w[0].T, w[1].T)
+                sums.append(_exact_sum(block))
         except BaseException as exc:
             errors.append(exc)
             stop.set()
@@ -259,10 +254,10 @@ def _run_striped(work, threads: int) -> list:
     started = []
     try:
         for t in range(1, threads):
-            thread = threading.Thread(target=run, args=(t,), name=f"buresgeo-sweep-{t}")
+            thread = threading.Thread(target=stripe, args=(t,), name=f"buresgeo-sweep-{t}")
             thread.start()
             started.append(thread)
-        run(0)
+        stripe(0)
     except BaseException:
         stop.set()
         raise
@@ -271,7 +266,7 @@ def _run_striped(work, threads: int) -> list:
             thread.join()
     if errors:
         raise errors[0]
-    return results
+    return sum(sums)
 
 
 def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
@@ -279,15 +274,17 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
 
     The trial at index i always sees the same pair of states, so the
     summary (elapsed aside) is a pure function of (seed, trials,
-    regime_u, regime_v).  Trials run in fixed index blocks, striped over
-    one thread per usable CPU (from the CPU affinity, at most four; one
-    block runs serially).  Each block writes its own range of one
-    per-trial array and adds its spreads into an exact integer sum, so
-    the output is identical for any block partition and any thread
-    count.  Each block draws its left (stream 0) and right (stream 1)
-    states in one sampler pass.  The mean is that sum rounded once,
-    equal to ``math.fsum(spreads) / trials``; ties for the worst pair
-    resolve to the lowest trial index.  The spreads are then sorted in
+    regime_u, regime_v).  The keys of the left (stream 0) and right
+    (stream 1) sampler streams are derived once per sweep.  Trials run
+    in fixed index blocks, striped over one thread per usable CPU (from
+    the CPU affinity, at most four; one block runs serially), and each
+    block draws both of its states in one sampler pass under those keys.
+    Each block writes its own range of one per-trial array and adds its
+    spreads into an exact integer sum, so the output is identical for
+    any block partition and any thread count.  The mean is that sum
+    rounded once, equal to ``math.fsum(spreads) / trials``; ties for
+    the worst pair resolve to the lowest trial index, whose states are
+    drawn again under the same keys.  The spreads are then sorted in
     place, and the p99 is numpy's linear-method percentile of them,
     equal to ``np.percentile(spreads, 99.0)``.
 
@@ -299,7 +296,8 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
     start = time.perf_counter()
     seed = _check_int(seed, "seed", 0, 2**64)
     trials = _check_int(trials, "trials", 1, _MAX_TRIALS + 1)
-    for regime in (regime_u, regime_v):
+    regimes = (regime_u, regime_v)
+    for regime in regimes:
         if regime not in REGIMES:
             raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
 
@@ -310,21 +308,18 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
             f"trials={trials} needs {8 * trials} bytes for the per-trial spreads, "
             "more than this process can allocate"
         ) from None
+    keys = _stream_keys(seed, (0, 1))
     blocks = -(-trials // _BLOCK)
-    totals = _run_striped(
-        lambda first, step, stop: _sweep_stripe(seed, regime_u, regime_v, diffs, first, step, stop),
-        _thread_count(blocks),
-    )
+    total = _run_stripes(keys, regimes, diffs, _thread_count(blocks))
 
     worst = int(np.argmax(diffs))
     max_diff = float(diffs[worst])
     # Integer division is correctly rounded: this is math.fsum(diffs) / trials.
-    mean = sum(totals) / (1 << 1074) / trials
+    mean = total / (1 << 1074) / trials
     # Reads after max_diff and worst: the spreads are sorted in place.
     diffs.sort()
     p99 = _p99_sorted(diffs)
-    worst_u = random_bloch_indexed(seed, regime_u, worst, stream=0)
-    worst_v = random_bloch_indexed(seed, regime_v, worst, stream=1)
+    worst_u, worst_v = _sample_streams(keys, regimes, np.uint64([worst]))[:, :, 0].tolist()
 
     return SweepSummary(
         trials=trials,
@@ -334,8 +329,8 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
         max_diff=max_diff,
         mean_diff=mean,
         p99_diff=p99,
-        worst_u=tuple(float(x) for x in worst_u),
-        worst_v=tuple(float(x) for x in worst_v),
+        worst_u=tuple(worst_u),
+        worst_v=tuple(worst_v),
         worst_index=worst,
         elapsed_seconds=time.perf_counter() - start,
     )

@@ -190,6 +190,16 @@ class TestTriangleCommand:
         )
         assert code == 2 and "samples-per-edge" in err
 
+    @pytest.mark.parametrize("count", ["99999999999999999999999", "1000000000000", str(2**20 + 1)])
+    def test_rejects_huge_polyline(self, capsys, count):
+        # These once leaked numpy's "Maximum allowed size exceeded" or its
+        # allocation error as a traceback with exit 1.
+        code, out, err = run_cli(
+            capsys, "triangle", "--u", "0.5,0,0", "--v", "0,0.5,0", "--samples-per-edge", count
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --samples-per-edge: count must be an integer in [2, 1048577), got {count}\n"
+
 
 class TestVerifyCommand:
     def test_passes_at_default_tolerance(self, capsys):

@@ -1,5 +1,7 @@
 """Tests for rapidity calculus, Einstein addition and the disk triangle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import assert_close_scaled, disk_distance_mobius, regime_pairs
@@ -360,6 +362,40 @@ class TestGeodesicPoints:
     def test_rejects_short_count(self):
         with pytest.raises(ValueError, match="at least 2"):
             bg.geodesic_points([0.1, 0.0], [0.2, 0.0], 1)
+
+    @pytest.mark.parametrize("count", [2.5, "8", None, 2**20 + 1, 10**12, 10**23])
+    def test_rejects_non_integer_and_huge_counts(self, count):
+        with pytest.raises(ValueError, match=r"count must be an integer in \[2, 1048577\)"):
+            bg.geodesic_points([0.1, 0.0], [0.2, 0.0], count)
+
+    def test_accepts_the_largest_count_and_numpy_integers(self):
+        assert bg.geodesic_points([0.1, 0.0], [0.2, 0.0], 2**20).shape == (2**20, 2)
+        assert bg.geodesic_points([0.1, 0.0], [0.2, 0.0], np.int64(3)).shape == (3, 2)
+
+
+_OFF_DISK = [[1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [1.5, 0.0], [np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0], [1e200, 1e200]]
+
+
+@pytest.mark.parametrize("point", _OFF_DISK)
+def test_disk_functions_reject_points_off_the_open_disk(point):
+    # Before the check these returned inf or NaN behind a divide-by-zero
+    # or invalid-value warning, or raised ZeroDivisionError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="strictly inside the unit disk"):
+            bg.disk_distance(point, [0.5, 0.0])
+        with pytest.raises(ValueError, match="strictly inside the unit disk"):
+            bg.disk_distance([[0.1, 0.0], [0.2, 0.0]], [[0.3, 0.0], point])
+        for p, q in ((point, [0.5, 0.0]), ([0.5, 0.0], point), (point, point)):
+            with pytest.raises(ValueError, match="strictly inside the unit disk"):
+                bg.geodesic_points(p, q, 4)
+        with pytest.raises(ValueError, match="strictly inside the unit disk"):
+            bg.geodesic_points(complex(*point), 0j, 4)
+
+
+def test_geodesic_points_rejects_a_point_without_two_coordinates():
+    with pytest.raises(ValueError, match="2 coordinates"):
+        bg.geodesic_points([0.1, 0.0, 0.0], [0.2, 0.0], 4)
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
-from buresgeo.qubit import _direction, _sample_streams, _splitmix_at
+from buresgeo.qubit import _direction, _sample_streams, _splitmix_at, _stream_keys
 
 RHO_MIXED = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
 RHO_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -57,6 +57,14 @@ class TestDensityFromBloch:
             for huge in ([1e308, 1e308, 0.0], [0.0, -1e200, 1e200]):
                 with pytest.raises(ValueError, match=r"Bloch vector norm inf lies outside the unit ball"):
                     bg.as_bloch_vector(huge)
+
+    def test_bloch_norm_is_inf_once_the_squares_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = bg.bloch_norm([[1e308, 1e308, 0.0], [0.0, -1e200, 1e200], [1e150, 0.0, 0.0], [2.0, 0.0, 0.0]])
+            assert norms.tolist() == [np.inf, np.inf, 1e150, 2.0]
+            assert np.isnan(bg.bloch_norm([np.nan, 0.0, 0.0]))
+            assert bg.bloch_norm([np.inf, 0.0, 0.0]) == np.inf
 
     def test_bloch_norm_rejects_wrong_shape(self):
         for bad in ([0.1, 0.2], np.zeros((4, 2)), 0.5):
@@ -444,7 +452,7 @@ def test_two_stream_pass_equals_one_stream_calls(regimes, seed, streams, start, 
     # One pass runs every kernel on both streams' rows at once; lengths
     # 1-133 cut through the SIMD tails differently than one stream does.
     idx = np.arange(start, start + length)
-    both = _sample_streams(seed, streams, regimes, idx.astype(np.uint64))
+    both = _sample_streams(_stream_keys(seed, streams), regimes, idx.astype(np.uint64))
     assert both.shape == (2, 3, length)
     grid = idx[: 2 * (length // 2)].reshape(2, -1)
     for s, (stream, regime) in enumerate(zip(streams, regimes)):

@@ -266,7 +266,7 @@ class TestThreadedSweep:
         _force_threads(monkeypatch, threads)
         monkeypatch.setattr(
             verify, "_sample_streams",
-            lambda seed, streams, regimes, idx: np.stack([[idx.astype(float)] * 3] * len(streams)),
+            lambda keys, regimes, idx: np.stack([[idx.astype(float)] * 3] * len(keys)),
         )
         monkeypatch.setattr(verify, "_route_spread", lambda u, v: spreads[u[:, 0].astype(int)])
         summary = bg.sweep(0, len(spreads), "pure", "pure")
