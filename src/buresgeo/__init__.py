@@ -7,89 +7,17 @@ velocity law and the fidelity is a ratio of hyperbolic cosines of the
 resulting triangle's sides.  This package implements all three routes,
 exposes the triangle itself as plottable Poincare-disk data, and ships a
 deterministic Monte Carlo harness that verifies the routes agree.
+
+Each module's ``__all__`` is the one list of its public names; this
+package re-exports all four.
 """
 
-from .hyperbolic import (
-    DEGENERATE_NORM,
-    HyperbolicTriangle,
-    Rapidity,
-    bloch_from_rapidity,
-    disk_distance,
-    einstein_add,
-    fidelity_hyperbolic,
-    gamma_composition,
-    geodesic_points,
-    lorentz_boost,
-    rapidity_from_bloch,
-    triangle,
-)
-from .measures import (
-    LambdaRoots,
-    bures_fidelity_closed,
-    bures_fidelity_matrix,
-    lambda_roots,
-    trace_distance_bloch,
-    trace_distance_matrix,
-)
-from .qubit import (
-    BALL_EPS,
-    PAULI,
-    PURE_NORM,
-    REGIMES,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    as_bloch_vector,
-    bloch_from_density,
-    bloch_norm,
-    density_from_bloch,
-    hermitian_eigenvalues,
-    random_bloch,
-    random_bloch_indexed,
-    sqrt_density,
-    validate_density_matrix,
-)
-from .verify import FidelityReport, SweepSummary, compare, sweep
+from . import hyperbolic, measures, qubit, verify
+from .hyperbolic import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .qubit import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BALL_EPS",
-    "DEGENERATE_NORM",
-    "PAULI",
-    "PURE_NORM",
-    "REGIMES",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "FidelityReport",
-    "HyperbolicTriangle",
-    "LambdaRoots",
-    "Rapidity",
-    "SweepSummary",
-    "as_bloch_vector",
-    "bloch_from_density",
-    "bloch_from_rapidity",
-    "bloch_norm",
-    "bures_fidelity_closed",
-    "bures_fidelity_matrix",
-    "compare",
-    "density_from_bloch",
-    "disk_distance",
-    "einstein_add",
-    "fidelity_hyperbolic",
-    "gamma_composition",
-    "geodesic_points",
-    "hermitian_eigenvalues",
-    "lambda_roots",
-    "lorentz_boost",
-    "random_bloch",
-    "random_bloch_indexed",
-    "rapidity_from_bloch",
-    "sweep",
-    "trace_distance_bloch",
-    "trace_distance_matrix",
-    "triangle",
-    "sqrt_density",
-    "validate_density_matrix",
-]
+__all__ = qubit.__all__ + measures.__all__ + hyperbolic.__all__ + verify.__all__

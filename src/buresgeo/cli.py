@@ -103,8 +103,6 @@ def _cmd_fidelity(args) -> int:
 def _cmd_triangle(args) -> int:
     u = _parse_triple(args.u, "--u")
     v = _parse_triple(args.v, "--v")
-    if args.samples_per_edge < 2:
-        raise _UsageError("--samples-per-edge must be at least 2")
     try:
         tri = triangle(u, v)
     except ValueError as exc:

@@ -21,7 +21,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .measures import _clamp_unit
-from .qubit import PURE_NORM, _check_int, _checked_bloch, _dot3, _gamma, _hermitian2, _norm3, _xyz
+from .qubit import (
+    BALL_EPS,
+    PURE_NORM,
+    _check_int,
+    _checked_bloch,
+    _dot3,
+    _gamma,
+    _hermitian2,
+    _law_of_cosines,
+    _norm3,
+    _numbers,
+    _quiet_norm,
+    _xyz,
+)
 
 __all__ = [
     "DEGENERATE_NORM",
@@ -43,6 +56,10 @@ __all__ = [
 DEGENERATE_NORM = 1e-12
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+# Largest phi lorentz_boost takes: its diagonal entries cosh(phi) +- sinh(phi)
+# reach e^phi, which passes the largest double at phi = 709.7827.
+_MAX_BOOST_PHI = 709.78
 
 # Most points geodesic_points returns: 2**20 rows of (x, y) take 16 MiB,
 # far beyond any plot, and larger counts are refused before allocating.
@@ -68,10 +85,34 @@ def rapidity_from_bloch(n) -> Rapidity:
     return Rapidity(direction[()], phi[()])
 
 
+def _checked_rapidity(rep):
+    """rep's direction and phi as float arrays, validated for bloch_from_rapidity and lorentz_boost.
+
+    The direction has shape (..., 3), finite components and norm within
+    BALL_EPS of 1; phi is >= 0, +inf included, and not NaN.
+    """
+    try:
+        direction, phi = rep
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a Rapidity (direction, phi), got {rep!r}") from None
+    direction = _numbers(direction)
+    phi = _numbers(phi)
+    if direction.shape[-1:] != (3,):
+        raise ValueError(f"rapidity direction must have 3 components, got shape {direction.shape}")
+    if not (np.abs(_quiet_norm(direction) - 1.0) <= BALL_EPS).all():  # also on NaN and inf
+        raise ValueError(f"rapidity direction must be a finite unit vector, to within {BALL_EPS}")
+    if not (phi >= 0.0).all():  # also on NaN
+        raise ValueError("rapidity phi must be a nonnegative number")
+    return direction, phi
+
+
 def bloch_from_rapidity(rep: Rapidity) -> np.ndarray:
-    """Bloch vector direction * tanh(phi); phi = +inf maps onto the sphere."""
-    direction = np.asarray(rep.direction, dtype=float)
-    phi = np.asarray(rep.phi, dtype=float)
+    """Bloch vector direction * tanh(phi); phi = +inf maps onto the sphere.
+
+    The direction has shape (..., 3) and unit norm within BALL_EPS; phi
+    lies in [0, +inf].  Anything else, NaN included, raises ValueError.
+    """
+    direction, phi = _checked_rapidity(rep)
     return np.tanh(phi)[..., None] * direction
 
 
@@ -80,12 +121,16 @@ def lorentz_boost(rep: Rapidity) -> np.ndarray:
 
     Hermitian with determinant 1 and trace 2 cosh(phi); dividing by the
     trace recovers the density matrix of the underlying Bloch vector.
-    Raises ValueError for phi = +inf (pure states have no finite boost).
+    The direction has shape (..., 3) and unit norm within BALL_EPS; phi
+    lies in [0, 709.78], where the entries stay finite.  Anything else
+    raises ValueError, phi = +inf too (pure states have no finite boost).
     """
-    direction = np.asarray(rep.direction, dtype=float)
-    phi = np.asarray(rep.phi, dtype=float)
-    if np.any(~np.isfinite(phi)):
-        raise ValueError("pure state: the boost matrix diverges at phi = +inf")
+    direction, phi = _checked_rapidity(rep)
+    if not (phi <= _MAX_BOOST_PHI).all():
+        raise ValueError(
+            f"the boost matrix overflows above phi = {_MAX_BOOST_PHI} "
+            "and diverges at phi = +inf, a pure state"
+        )
     ch = np.cosh(phi)
     sh = np.sinh(phi)
     dx, dy, dz = (sh * direction[..., k] for k in range(3))
@@ -137,14 +182,13 @@ def gamma_composition(u, v):
     v, rv = _checked_bloch(v)
     if np.any(ru >= 1.0) or np.any(rv >= 1.0):
         raise ValueError("pure input: the Lorentz factor diverges on the sphere")
-    return (_gamma(ru) * _gamma(rv) * (1.0 + _dot3(u, v)))[()]
+    _, _, gw = _law_of_cosines(_dot3(u, v), ru, rv)
+    return gw[()]
 
 
 def _hyperbolic_fidelity(dot, ru, rv):
     """Rapidity-route kernel from u.v and the two norms, both <= PURE_NORM."""
-    gu = _gamma(ru)
-    gv = _gamma(rv)
-    gw = gu * gv * (1.0 + dot)
+    gu, gv, gw = _law_of_cosines(dot, ru, rv)
     return _clamp_unit((1.0 + gw) / (2.0 * gu * gv), "hyperbolic fidelity")
 
 
@@ -230,7 +274,7 @@ def _geodesic_midpoint(b: complex, c: complex) -> complex:
 def _disk_point(p) -> complex:
     """p, a 2-vector or a complex number, as a complex number strictly inside the unit disk."""
     if not isinstance(p, complex):
-        xy = np.asarray(p, dtype=float)
+        xy = _numbers(p)
         if xy.shape != (2,):
             raise ValueError(f"a Poincare-disk point has 2 coordinates, got shape {xy.shape}")
         p = complex(*xy)
@@ -275,8 +319,10 @@ def disk_distance(p, q) -> float:
     accurate out to the rim where the Mobius-quotient form cancels.
     Points on or outside the rim, or not finite, raise ValueError.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = _numbers(p)
+    q = _numbers(q)
+    if p.shape[-1:] != (2,) or q.shape[-1:] != (2,):
+        raise ValueError(f"Poincare-disk points have 2 coordinates, got shapes {p.shape} and {q.shape}")
     with np.errstate(over="ignore"):  # a huge coordinate's depth overflows to -inf
         inside = (1.0 - np.sum(p * p, axis=-1) > 0.0) & (1.0 - np.sum(q * q, axis=-1) > 0.0)
     if not inside.all():  # False on NaN
@@ -322,16 +368,13 @@ def triangle(u, v) -> HyperbolicTriangle:
 
     phi_u = math.atanh(ru)
     phi_v = math.atanh(rv)
-    gu = float(_gamma(ru))
-    gv = float(_gamma(rv))
-
     dot = _dot3(u, v)
+    gu, gv, gw = _law_of_cosines(dot, ru, rv)
     cos_hat = float(dot) / (ru * rv)
     angle_a = math.pi - math.acos(min(1.0, max(-1.0, cos_hat)))
 
     w = _einstein_add(u, v, ru, dot)
     rw = float(_norm3(*_xyz(w)))
-    gw = gu * gv * (1.0 + dot)
     # artanh is accurate for moderate |w| but saturates near the rim,
     # where arccosh of the composed Lorentz factor takes over.
     phi_w = math.atanh(rw) if rw <= 0.9 else math.acosh(max(gw, 1.0))

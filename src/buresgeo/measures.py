@@ -24,7 +24,7 @@ from .qubit import (
     _dot3,
     _eig2,
     _eig2_scaled,
-    _gamma,
+    _law_of_cosines,
     _norm3,
     _sqrt_entries,
     _xyz,
@@ -194,9 +194,7 @@ def lambda_roots(u, v) -> LambdaRoots:
     v, rv = _checked_bloch(v)
     if np.any(ru >= 1.0) or np.any(rv >= 1.0):
         raise ValueError("pure input: the root formula needs finite rapidities")
-    gu = _gamma(ru)
-    gv = _gamma(rv)
-    gw = gu * gv * (1.0 + _dot3(u, v))
+    gu, gv, gw = _law_of_cosines(_dot3(u, v), ru, rv)
     sinh_w = np.sqrt(np.maximum((gw - 1.0) * (gw + 1.0), 0.0))
     exp_plus = gw + sinh_w
     denom = 4.0 * gu * gv

@@ -70,6 +70,17 @@ def _gamma(r):
     return 1.0 / np.sqrt((1.0 - r) * (1.0 + r))
 
 
+def _law_of_cosines(dot, ru, rv):
+    """Lorentz factors (g_u, g_v, g_w) of u, v and u (+) v, from u.v and norms below 1.
+
+    g_w = g_u g_v (1 + u.v) = cosh(phi_w) is the hyperbolic law of
+    cosines; every route and function that needs g_w takes it from here.
+    """
+    gu = _gamma(ru)
+    gv = _gamma(rv)
+    return gu, gv, gu * gv * (1.0 + dot)
+
+
 def _xyz(n):
     """Components of Bloch vectors of shape (..., 3), each of shape (...)."""
     return n[..., 0], n[..., 1], n[..., 2]
@@ -86,9 +97,24 @@ def _dot3(u, v) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
+def _numbers(x, dtype=float) -> np.ndarray:
+    """x as an array of dtype, float or complex; the public boundary's one conversion.
+
+    Raises ValueError for input of any other dtype kind: complex input
+    where reals are due, which would otherwise be cut to its real part,
+    and None, strings and integers beyond 64 bits, which numpy holds as
+    objects.
+    """
+    x = np.asarray(x)
+    # Kinds: bool, signed and unsigned integer, floating point, complex.
+    if x.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+        raise ValueError(f"expected {dtype.__name__} input, got an array of dtype {x.dtype}")
+    return np.asarray(x, dtype=dtype)
+
+
 def _float3(n) -> np.ndarray:
     """n as a float array whose last axis has the 3 Bloch components."""
-    n = np.asarray(n, dtype=float)
+    n = _numbers(n)
     if n.shape[-1:] != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {n.shape}")
     return n
@@ -127,7 +153,8 @@ def bloch_norm(n) -> np.ndarray:
     """Euclidean norm of Bloch vectors of shape (..., 3), over the last axis.
 
     The vectors are not validated, so any real 3-vector has a norm; it is
-    inf once the squares overflow, for components past about 1e154.
+    inf once the squares overflow, for components past about 1e154, and
+    NaN where a component is NaN.
     """
     return _quiet_norm(_float3(n))
 
@@ -241,17 +268,21 @@ def _check_hermitian(m, tol: float, what: str) -> None:
 
 def _checked_density(rho):
     """Validate rho as in validate_density_matrix; return (rho, its entries)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _numbers(rho, complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
     _check_finite(rho, "density matrix")
     _check_hermitian(rho, _HERMITIAN_TOL, "density matrix")
-    trace = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
-    if np.any(trace > _TRACE_TOL):
-        raise ValueError(f"density matrix trace differs from 1 by {float(np.max(trace)):.3e}")
-    entries = _entries(rho)
-    # Scaled: the trace check does not bound the off-diagonal entry.
-    lo, _ = _eig2_scaled(*entries)
+    # Entries near the largest double overflow the trace, the entries or
+    # the eigenvalues to inf, which the checks reject; the warning would
+    # only repeat it.
+    with np.errstate(over="ignore"):
+        trace = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
+        if np.any(trace > _TRACE_TOL):
+            raise ValueError(f"density matrix trace differs from 1 by {float(np.max(trace)):.3e}")
+        entries = _entries(rho)
+        # Scaled: the trace check does not bound the off-diagonal entry.
+        lo, _ = _eig2_scaled(*entries)
     if np.any(lo < -_PSD_TOL):
         raise ValueError(f"density matrix has negative eigenvalue {float(np.min(lo)):.3e}")
     return rho, entries
@@ -272,7 +303,8 @@ def hermitian_eigenvalues(m):
     which stays accurate for nearly degenerate spectra where the
     quadratic formula would cancel.  Each matrix is first scaled by a
     power of two, exactly, so entries of any finite magnitude, subnormal
-    ones included, neither overflow nor underflow the squares.
+    ones included, neither overflow nor underflow the squares; an
+    eigenvalue beyond the largest double raises ValueError.
 
     Args:
         m: array of shape (..., 2, 2) with finite entries, Hermitian to
@@ -281,7 +313,7 @@ def hermitian_eigenvalues(m):
     Returns:
         Tuple (lambda_minus, lambda_plus) with lambda_minus <= lambda_plus.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _numbers(m, complex)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     # First: a NaN or infinite entry makes the Hermitian skew NaN, which
@@ -289,7 +321,11 @@ def hermitian_eigenvalues(m):
     _check_finite(m, "matrix")
     _check_hermitian(m, _EIG_HERMITIAN_TOL, "matrix")
     upper = m[..., 0, 1]
-    return _eig2_scaled(m[..., 0, 0].real, m[..., 1, 1].real, upper.real, upper.imag)
+    with np.errstate(over="ignore"):  # checked below
+        lo, hi = _eig2_scaled(m[..., 0, 0].real, m[..., 1, 1].real, upper.real, upper.imag)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("matrix eigenvalues overflow the largest double")
+    return lo, hi
 
 
 def _sqrt_entries(x, y, z, r):

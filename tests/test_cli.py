@@ -190,6 +190,14 @@ class TestTriangleCommand:
         )
         assert code == 2 and "samples-per-edge" in err
 
+    @pytest.mark.parametrize("count", ["1", "0", "-3"])
+    def test_short_polyline_message_comes_from_geodesic_points(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "triangle", "--u", "0.5,0,0", "--v", "0,0.5,0", "--samples-per-edge", count
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --samples-per-edge: a geodesic polyline needs at least 2 points\n"
+
     @pytest.mark.parametrize("count", ["99999999999999999999999", "1000000000000", str(2**20 + 1)])
     def test_rejects_huge_polyline(self, capsys, count):
         # These once leaked numpy's "Maximum allowed size exceeded" or its

@@ -15,7 +15,22 @@ RHO_MIXED = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
 RHO_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
+# Bloch vectors for hypothesis: a direction scaled to a norm that is often
+# exactly 0, exactly 1 or within 1e-9 of the sphere.
+_NORMS = st.sampled_from([0.0, 1.0, 1.0 - 1e-9, 1.0 - 1e-13]) | st.floats(0.0, 1.0)
+_DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: math.hypot(*d) > 1e-3)
+_BLOCH_VECTORS = st.builds(lambda d, r: r * np.array(d) / math.hypot(*d), _DIRECTIONS, _NORMS)
+
+
 class TestDensityFromBloch:
+    @settings(max_examples=300, deadline=None)
+    @given(n=_BLOCH_VECTORS)
+    def test_equals_the_pauli_expansion(self, n):
+        # (I + n.sigma)/2 from PAULI: the products with 0 and +-1 and the
+        # sums with zeros are exact, so every bit must agree.
+        expected = (np.eye(2) + np.einsum("k,kij->ij", n, bg.PAULI)) / 2.0
+        np.testing.assert_array_equal(bg.density_from_bloch(n), expected)
+
     def test_maximally_mixed(self):
         np.testing.assert_array_equal(bg.density_from_bloch([0, 0, 0]), RHO_MIXED)
 
