@@ -77,10 +77,21 @@ def rapidity_from_bloch(n) -> Rapidity:
     """Rapidity representation of n; phi is +inf exactly when |n| >= 1.
 
     The direction defaults to the z axis at n = 0, where phi = 0 makes
-    it arbitrary.
+    it arbitrary.  The norm and the direction are taken from n scaled by
+    the power of two that brings its largest component into [0.5, 1), as
+    in _eig2_scaled, so the norm loses nothing to underflowing squares:
+    down to the smallest subnormal, the direction is a unit vector and
+    phi is |n| to a few ulps.  The scaling is exact, so wherever no
+    square of n underflows the result is that of the unscaled n, bit for
+    bit.
     """
-    n, r = _checked_bloch(n)
-    direction = np.where((r > 0.0)[..., None], n / np.where(r > 0.0, r, 1.0)[..., None], _Z_AXIS)
+    n, _ = _checked_bloch(n)
+    exponent = np.frexp(np.abs(n).max(axis=-1, initial=0.0))[1]
+    scaled = np.ldexp(n, -exponent[..., None])
+    length = _norm3(*_xyz(scaled))
+    r = np.ldexp(length, exponent)
+    nonzero = (length > 0.0)[..., None]
+    direction = np.where(nonzero, scaled / np.where(nonzero, length[..., None], 1.0), _Z_AXIS)
     phi = np.where(r < 1.0, np.arctanh(np.where(r < 1.0, r, 0.0)), np.inf)
     return Rapidity(direction[()], phi[()])
 
@@ -119,11 +130,21 @@ def bloch_from_rapidity(rep: Rapidity) -> np.ndarray:
 def lorentz_boost(rep: Rapidity) -> np.ndarray:
     """Boost matrix cosh(phi) + sigma.direction sinh(phi).
 
-    Hermitian with determinant 1 and trace 2 cosh(phi); dividing by the
+    Hermitian with trace 2 cosh(phi) and determinant 1; dividing by the
     trace recovers the density matrix of the underlying Bloch vector.
     The direction has shape (..., 3) and unit norm within BALL_EPS; phi
     lies in [0, 709.78], where the entries stay finite.  Anything else
     raises ValueError, phi = +inf too (pure states have no finite boost).
+
+    The smaller diagonal entry cosh(phi) - sinh(phi) |d_z| would cancel
+    for large phi; it is taken as the equal, for a unit direction,
+    (1 + sinh(phi)^2 (d_x^2 + d_y^2)) / (cosh(phi) + sinh(phi) |d_z|),
+    so both diagonal entries are accurate to a few ulps, relative, for
+    every phi.  How close the determinant comes to 1: along +-z the
+    diagonal entries multiply to 1 within a few ulps; off the axis the
+    determinant is the difference of the diagonal product and |b|^2,
+    both about sinh(phi)^2 (d_x^2 + d_y^2), so it is 1 only to a few
+    ulps of that size.
     """
     direction, phi = _checked_rapidity(rep)
     if not (phi <= _MAX_BOOST_PHI).all():
@@ -133,8 +154,14 @@ def lorentz_boost(rep: Rapidity) -> np.ndarray:
         )
     ch = np.cosh(phi)
     sh = np.sinh(phi)
-    dx, dy, dz = (sh * direction[..., k] for k in range(3))
-    return _hermitian2(ch + dz, ch - dz, dx, -dy)
+    dx, dy, dz = _xyz(direction)
+    larger = ch + sh * np.abs(dz)
+    # (1 + sh^2 q) / larger with q = dx^2 + dy^2, split as
+    # 1/larger + sh q (sh/larger): sh/larger <= 1, so nothing overflows
+    # up to phi = 709.78.
+    smaller = 1.0 / larger + sh * (dx * dx + dy * dy) * (sh / larger)
+    upper, lower = np.where(dz >= 0.0, larger, smaller), np.where(dz >= 0.0, smaller, larger)
+    return _hermitian2(upper, lower, sh * dx, -sh * dy)
 
 
 def einstein_add(u, v) -> np.ndarray:

@@ -26,6 +26,7 @@ from .qubit import (
     _eig2_scaled,
     _law_of_cosines,
     _norm3,
+    _one_minus_square,
     _sqrt_entries,
     _xyz,
 )
@@ -66,7 +67,10 @@ def _clamp_unit(x, what: str):
     NaN passes through and -0.0 stays -0.0, as under np.clip.  One value
     is clamped with Python floats, whose min and max return their first
     argument on ties and NaN, so the bits equal np.clip's at a fraction
-    of a 0-d ufunc call's cost.
+    of a 0-d ufunc call's cost.  A batch is checked through its extremes:
+    fmin and fmax skip NaN, as the comparisons do, so a batch raises
+    exactly when one of its values lies out of range, and the mask that
+    finds the first such value, in C order, is built only then.
     """
     x = np.asarray(x)
     if x.ndim == 0:
@@ -74,17 +78,21 @@ def _clamp_unit(x, what: str):
         if value < -UNIT_SLACK or value > 1.0 + UNIT_SLACK:
             raise ValueError(f"{what} {value!r} lies outside [0, 1]")
         return np.float64(min(max(value, 0.0), 1.0))
-    outside = (x < -UNIT_SLACK) | (x > 1.0 + UNIT_SLACK)
-    if outside.any():
-        bad = x[outside]
-        raise ValueError(f"{what} {float(bad.flat[0])!r} lies outside [0, 1]")
+    low, high = np.fmin.reduce(x, None, initial=np.inf), np.fmax.reduce(x, None, initial=-np.inf)
+    if low < -UNIT_SLACK or high > 1.0 + UNIT_SLACK:
+        # The first value out of range, alone, raises with the one-value message.
+        _clamp_unit(x[(x < -UNIT_SLACK) | (x > 1.0 + UNIT_SLACK)][0], what)
     return np.clip(x, 0.0, 1.0)[()]
 
 
 def _ball_gap(r):
-    """1 - r^2 factored as (1-r)(1+r); exactly 0 for effectively pure norms."""
-    gap = np.maximum((1.0 - r) * (1.0 + r), 0.0)
-    return np.where(r > _EXACT_PURE_NORM, 0.0, gap)
+    """1 - r^2 of the norms r, exactly 0 for effectively pure ones.
+
+    Needs no clamp at 0: for a norm 0 <= r <= _EXACT_PURE_NORM both
+    factors of (1-r)(1+r) are positive; a larger norm, inf too, takes
+    the 0; and a NaN norm gives NaN with or without a clamp.
+    """
+    return np.where(r > _EXACT_PURE_NORM, 0.0, _one_minus_square(r))
 
 
 def trace_distance_matrix(rho1, rho2):
@@ -144,13 +152,16 @@ def _matrix_fidelity(rho1, rho2):
     r1 = _norm3(x1, y1, z1)
     r2 = _norm3(*_bloch_of_entries(*rho2))
     lo, hi = _eig2(*_sandwich(_sqrt_entries(x1, y1, z1, r1), rho2))
-    # One pair is checked with a Python float comparison, as in _clamp_unit.
-    if float(lo) < -_PSD_SLACK if lo.ndim == 0 else (lo < -_PSD_SLACK).any():
+    # One pair is checked with a Python float comparison, as in _clamp_unit;
+    # a batch through its minimum, taken by fmin so a NaN hides no negative.
+    if (float(lo) if lo.ndim == 0 else np.fmin.reduce(lo, None, initial=np.inf)) < -_PSD_SLACK:
         raise ValueError(
             f"sqrt(rho1) rho2 sqrt(rho1) has eigenvalue {float(np.min(lo)):.3e} < -1e-10"
         )
     det_product = _ball_gap(r1) * _ball_gap(r2) / 16.0
-    lam_minus = np.where(hi > 0.0, det_product / np.where(hi > 0.0, hi, 1.0), 0.0)
+    # det_product / hi where hi > 0, else 0, NaN hi included; where= skips
+    # the other rows, so nothing divides by zero.
+    lam_minus = np.divide(det_product, hi, out=np.zeros_like(hi), where=hi > 0.0)
     # t * t, not t ** 2: a numpy scalar takes libm pow for ** 2, which can
     # round unlike the array path, so compare would not reproduce a sweep.
     t = np.sqrt(hi) + np.sqrt(lam_minus)

@@ -65,9 +65,17 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
+def _one_minus_square(r):
+    """1 - r^2 = 1/cosh^2(artanh r), as (1-r)(1+r), which keeps its accuracy near r = 1.
+
+    The package's one home for this quantity; positive for 0 <= r < 1.
+    """
+    return (1.0 - r) * (1.0 + r)
+
+
 def _gamma(r):
-    """Lorentz factor 1/sqrt(1 - r^2), evaluated as (1-r)(1+r) for accuracy."""
-    return 1.0 / np.sqrt((1.0 - r) * (1.0 + r))
+    """Lorentz factor 1/sqrt(1 - r^2)."""
+    return 1.0 / np.sqrt(_one_minus_square(r))
 
 
 def _law_of_cosines(dot, ru, rv):

@@ -126,7 +126,8 @@ def _routes(u, v, ru, rv):
     dot = _dot3(u, v)
     f_closed = _closed_fidelity(dot, ru, rv)
     f_matrix = _matrix_fidelity(_density_entries(*_xyz(u)), _density_entries(*_xyz(v)))
-    pure = (ru > PURE_NORM) | (rv > PURE_NORM)
+    # fmax skips a NaN norm, so this is (ru > PURE_NORM) | (rv > PURE_NORM).
+    pure = np.fmax(ru, rv) > PURE_NORM
     f_hyp = _hyperbolic_fidelity(
         np.where(pure, 0.0, dot), np.minimum(ru, PURE_NORM), np.minimum(rv, PURE_NORM)
     )
@@ -182,9 +183,11 @@ def _exact_sum(x: np.ndarray) -> int:
     summation using small and large superaccumulators").
     """
     bits = x.view(np.int64)
-    exponent = bits >> 52
-    mantissa = (bits & 0xFFFFFFFFFFFFF) | ((exponent > 0).astype(np.int64) << 52)
-    exponent = np.maximum(exponent, 1)
+    # With the sign bit clear, bits = (k << 52) + fraction: subtracting
+    # (k - 1) << 52 leaves the fraction plus the implicit bit for k >= 1,
+    # and subtracts nothing from a subnormal or zero, whose k is 0.
+    exponent = np.maximum(bits >> 52, 1)
+    mantissa = bits - ((exponent - 1) << 52)
     lo = np.bincount(exponent, weights=mantissa & 0x3FFFFFF)
     hi = np.bincount(exponent, weights=mantissa >> 26)
     total = 0
