@@ -90,7 +90,8 @@ def _cmd_fidelity(args) -> int:
     result = _fields(report)
     result["regime_flags"] = sorted(report.regime_flags)
     print(_envelope("fidelity", {"u": report.u, "v": report.v, "format": args.format}, result))
-    if report.max_pairwise_diff > ROUTE_DISAGREEMENT:
+    # Written so that a NaN spread fails too.
+    if not report.max_pairwise_diff <= ROUTE_DISAGREEMENT:
         print(
             f"theorem violation: routes disagree by {report.max_pairwise_diff:.3e} "
             f"(> {ROUTE_DISAGREEMENT:.0e})",
@@ -154,7 +155,7 @@ def _cmd_verify(args) -> int:
         "tolerance": args.tolerance,
     }
     print(_envelope("verify", inputs, _fields(summary)))
-    if summary.max_diff > args.tolerance:
+    if not summary.max_diff <= args.tolerance:  # a NaN spread fails too
         print(
             f"verification failed: max_diff {summary.max_diff:.3e} > tolerance "
             f"{args.tolerance:.3e}",

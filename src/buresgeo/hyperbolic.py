@@ -24,14 +24,19 @@ from .measures import _clamp_unit
 from .qubit import (
     BALL_EPS,
     PURE_NORM,
+    _add,
     _check_int,
     _checked_bloch,
+    _div,
     _dot3,
     _gamma,
+    _give,
     _hermitian2,
     _law_of_cosines,
+    _mul,
     _norm3,
     _numbers,
+    _own,
     _quiet_norm,
     _xyz,
 )
@@ -213,10 +218,13 @@ def gamma_composition(u, v):
     return gw[()]
 
 
-def _hyperbolic_fidelity(dot, ru, rv):
+def _hyperbolic_fidelity(dot, ru, rv, ws=None):
     """Rapidity-route kernel from u.v and the two norms, both <= PURE_NORM."""
-    gu, gv, gw = _law_of_cosines(dot, ru, rv)
-    return _clamp_unit((1.0 + gw) / (2.0 * gu * gv), "hyperbolic fidelity")
+    gu, gv, gw = _law_of_cosines(dot, ru, rv, ws)
+    out, den = _own(ws, gw), _own(ws, gu)
+    fid = _div(_add(1.0, gw, out), _mul(_mul(2.0, gu, den), gv, den), out)
+    _give(ws, gu, gv)
+    return _clamp_unit(fid, "hyperbolic fidelity", out)
 
 
 def fidelity_hyperbolic(u, v):

@@ -18,16 +18,27 @@ from typing import NamedTuple
 import numpy as np
 
 from .qubit import (
+    _add,
     _bloch_of_entries,
+    _bools,
     _checked_bloch,
     _checked_density,
+    _div,
     _dot3,
     _eig2,
     _eig2_scaled,
+    _give,
+    _greater,
     _law_of_cosines,
+    _mul,
     _norm3,
     _one_minus_square,
+    _own,
+    _sqrt,
     _sqrt_entries,
+    _sub,
+    _take,
+    _where,
     _xyz,
 )
 
@@ -61,7 +72,7 @@ class LambdaRoots(NamedTuple):
     lambda_minus: np.ndarray
 
 
-def _clamp_unit(x, what: str):
+def _clamp_unit(x, what: str, out=None):
     """Snap values within UNIT_SLACK of [0, 1] onto it; reject anything worse.
 
     NaN passes through and -0.0 stays -0.0, as under np.clip.  One value
@@ -70,7 +81,8 @@ def _clamp_unit(x, what: str):
     of a 0-d ufunc call's cost.  A batch is checked through its extremes:
     fmin and fmax skip NaN, as the comparisons do, so a batch raises
     exactly when one of its values lies out of range, and the mask that
-    finds the first such value, in C order, is built only then.
+    finds the first such value, in C order, is built only then.  A
+    batch is clipped into ``out``, x's own workspace row, when given.
     """
     x = np.asarray(x)
     if x.ndim == 0:
@@ -82,17 +94,21 @@ def _clamp_unit(x, what: str):
     if low < -UNIT_SLACK or high > 1.0 + UNIT_SLACK:
         # The first value out of range, alone, raises with the one-value message.
         _clamp_unit(x[(x < -UNIT_SLACK) | (x > 1.0 + UNIT_SLACK)][0], what)
-    return np.clip(x, 0.0, 1.0)[()]
+    return np.clip(x, 0.0, 1.0, out=out)[()]
 
 
-def _ball_gap(r):
+def _ball_gap(r, ws=None):
     """1 - r^2 of the norms r, exactly 0 for effectively pure ones.
 
     Needs no clamp at 0: for a norm 0 <= r <= _EXACT_PURE_NORM both
     factors of (1-r)(1+r) are positive; a larger norm, inf too, takes
     the 0; and a NaN norm gives NaN with or without a clamp.
     """
-    return np.where(r > _EXACT_PURE_NORM, 0.0, _one_minus_square(r))
+    gap = _one_minus_square(r, ws)
+    (mask,) = _take(ws, 1)
+    value = _where(_greater(r, _EXACT_PURE_NORM, _bools(mask)), 0.0, gap, _own(ws, gap))
+    _give(ws, mask)
+    return value
 
 
 def trace_distance_matrix(rho1, rho2):
@@ -119,7 +135,7 @@ def trace_distance_bloch(u, v):
     return _trace_distance(_checked_bloch(u)[0], _checked_bloch(v)[0])
 
 
-def _sandwich(root, rho):
+def _sandwich(root, rho, ws=None):
     """Entries of R rho R for Hermitian R and rho, both given as entries.
 
     With R = [[p, q], [conj(q), s]] and rho = [[a, b], [conj(b), d]]:
@@ -129,43 +145,89 @@ def _sandwich(root, rho):
         (R rho R)_01 = q (p a + s d) + q^2 conj(b) + p s b
 
     The product is Hermitian by construction, so no symmetrization is
-    needed.
+    needed.  Four scratch rows suffice: q^2 takes the rows of |q|^2 and
+    Re(q conj(b)), and p a + s d waits in the row of Im (R rho R)_01.
     """
     p, s, q_re, q_im = root
     a, d, b_re, b_im = rho
-    q_sq = q_re * q_re + q_im * q_im
-    cross = q_re * b_re + q_im * b_im
-    m00 = p * p * a + 2.0 * p * cross + q_sq * d
-    m11 = q_sq * a + 2.0 * s * cross + s * s * d
-    t = p * a + s * d
-    ps = p * s
-    q2_re = q_re * q_re - q_im * q_im
-    q2_im = 2.0 * q_re * q_im
-    m01_re = q_re * t + (q2_re * b_re + q2_im * b_im) + ps * b_re
-    m01_im = q_im * t + (q2_im * b_re - q2_re * b_im) + ps * b_im
-    return m00, m11, m01_re, m01_im
+    m00, m11, m01_re, m01_im, w0, w1, w2, tmp = _take(ws, 8)
+    q_sq = _add(_mul(q_re, q_re, w0), _mul(q_im, q_im, tmp), w0)
+    cross = _add(_mul(q_re, b_re, w1), _mul(q_im, b_im, tmp), w1)
+    e00 = _add(_mul(_mul(p, p, m00), a, m00), _mul(_mul(2.0, p, tmp), cross, tmp), m00)
+    e00 = _add(e00, _mul(q_sq, d, tmp), m00)
+    e11 = _add(_mul(q_sq, a, m11), _mul(_mul(2.0, s, tmp), cross, tmp), m11)
+    e11 = _add(e11, _mul(_mul(s, s, tmp), d, tmp), m11)
+    t = _add(_mul(p, a, m01_im), _mul(s, d, tmp), m01_im)
+    ps = _mul(p, s, w2)
+    q2_re = _sub(_mul(q_re, q_re, w0), _mul(q_im, q_im, tmp), w0)
+    q2_im = _mul(_mul(2.0, q_re, w1), q_im, w1)
+    # (R rho R)_01 = q t + (q^2 conj(b)) + ps b, in the order written out
+    # above: the bracket first, then q t + bracket, then + ps b.
+    bracket = _add(_mul(q2_re, b_re, m01_re), _mul(q2_im, b_im, tmp), m01_re)
+    e01_re = _add(_add(_mul(q_re, t, tmp), bracket, m01_re), _mul(ps, b_re, tmp), m01_re)
+    bracket = _sub(_mul(q2_im, b_re, tmp), _mul(q2_re, b_im, w0), tmp)
+    e01_im = _add(_mul(q_im, t, m01_im), bracket, m01_im)
+    e01_im = _add(e01_im, _mul(ps, b_im, tmp), m01_im)
+    _give(ws, w0, w1, w2, tmp)
+    return e00, e11, e01_re, e01_im
 
 
-def _matrix_fidelity(rho1, rho2):
-    """Matrix-route kernel on the entries (a, d, Re b, Im b) of rho1 and rho2."""
-    x1, y1, z1 = _bloch_of_entries(*rho1)
-    r1 = _norm3(x1, y1, z1)
-    r2 = _norm3(*_bloch_of_entries(*rho2))
-    lo, hi = _eig2(*_sandwich(_sqrt_entries(x1, y1, z1, r1), rho2))
+def _matrix_fidelity(rho1, rho2, ws=None):
+    """Matrix-route kernel on the entries (a, d, Re b, Im b) of rho1 and rho2.
+
+    With a workspace, rho1's rows are handed over: its Bloch components
+    are written over Re b, Im b and a, whose last use that is, and d's row
+    goes back to ws.  Each other quantity is taken where it keeps the
+    fewest rows live: 1 - |n1|^2 before the product, |n2| after the
+    eigensolve.
+    """
+    a1, d1, b1_re, b1_im = rho1
+    # _take pops from the end: x over Re b, y over Im b, z = a - d over a.
+    x1, y1, z1 = _bloch_of_entries(*rho1, None if ws is None else [a1, b1_im, b1_re])
+    _give(ws, d1)
+    r1 = _norm3(x1, y1, z1, ws)
+    root = _sqrt_entries(x1, y1, z1, r1, ws)
+    _give(ws, x1, y1, z1)
+    gap1 = _ball_gap(r1, ws)
+    _give(ws, r1)
+    product = _sandwich(root, rho2, ws)
+    _give(ws, *root)
+    lo, hi = _eig2(*product, ws)
+    _give(ws, *product)
     # One pair is checked with a Python float comparison, as in _clamp_unit;
     # a batch through its minimum, taken by fmin so a NaN hides no negative.
     if (float(lo) if lo.ndim == 0 else np.fmin.reduce(lo, None, initial=np.inf)) < -_PSD_SLACK:
         raise ValueError(
             f"sqrt(rho1) rho2 sqrt(rho1) has eigenvalue {float(np.min(lo)):.3e} < -1e-10"
         )
-    det_product = _ball_gap(r1) * _ball_gap(r2) / 16.0
+    _give(ws, lo)
+    bloch2 = _bloch_of_entries(*rho2, ws)
+    r2 = _norm3(*bloch2, ws)
+    _give(ws, *bloch2)
+    gap2 = _ball_gap(r2, ws)
+    _give(ws, r2)
+    f = _own(ws, gap1)
+    det_product = _div(_mul(gap1, gap2, f), 16.0, f)
+    lam, mask = _take(ws, 2)
     # det_product / hi where hi > 0, else 0, NaN hi included; where= skips
     # the other rows, so nothing divides by zero.
-    lam_minus = np.divide(det_product, hi, out=np.zeros_like(hi), where=hi > 0.0)
+    lam_minus = np.divide(det_product, hi, out=_zeros(lam, hi), where=_greater(hi, 0.0, _bools(mask)))
+    # hi can round to a tiny negative where the states are orthogonal and
+    # pure; its root is then 0.  maximum, not fmax, so a NaN hi still shows.
+    root_hi = _sqrt(np.maximum(hi, 0.0, out=_own(ws, hi)), _own(ws, hi))
     # t * t, not t ** 2: a numpy scalar takes libm pow for ** 2, which can
     # round unlike the array path, so compare would not reproduce a sweep.
-    t = np.sqrt(hi) + np.sqrt(lam_minus)
-    return _clamp_unit(t * t, "bures fidelity")
+    t = _add(root_hi, _sqrt(lam_minus, lam), f)
+    _give(ws, gap2, hi, lam, mask)
+    return _clamp_unit(_mul(t, t, f), "bures fidelity", f)
+
+
+def _zeros(row, like):
+    """Zeros shaped like ``like``: the row filled with them, or a fresh array without one."""
+    if row is None:
+        return np.zeros_like(like)
+    row.fill(0.0)
+    return row
 
 
 def bures_fidelity_matrix(rho1, rho2):
@@ -212,10 +274,17 @@ def lambda_roots(u, v) -> LambdaRoots:
     return LambdaRoots((exp_plus / denom)[()], (1.0 / (exp_plus * denom))[()])
 
 
-def _closed_fidelity(dot, ru, rv):
+def _closed_fidelity(dot, ru, rv, ws=None):
     """Closed-form kernel from u.v and the two norms."""
-    fid = 0.5 * (1.0 + dot) + 0.5 * np.sqrt(_ball_gap(ru) * _ball_gap(rv))
-    return _clamp_unit(fid, "bures fidelity")
+    (out,) = _take(ws, 1)
+    half = _mul(0.5, _add(1.0, dot, out), out)
+    gap = _ball_gap(ru, ws)
+    gap_v = _ball_gap(rv, ws)
+    row = _own(ws, gap)
+    root = _sqrt(_mul(gap, gap_v, row), row)
+    fid = _add(half, _mul(0.5, root, row), out)
+    _give(ws, gap, gap_v)
+    return _clamp_unit(fid, "bures fidelity", out)
 
 
 def bures_fidelity_closed(u, v):

@@ -65,28 +65,117 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
-def _one_minus_square(r):
+# ---------------------------------------------------------------------------
+# Workspace rows.
+#
+# A sweep block runs the kernels on 16384-row arrays, and the allocator
+# maps and unmaps a fresh temporary of that size on every numpy call.  So
+# each kernel takes ``ws``: None, or a list of free rows of one workspace
+# allocated per sweep, each shaped like the kernel's operands.  A kernel
+# pops the rows it writes, puts its scratch rows back before it returns,
+# and leaves the rows that hold its results to its caller, who puts them
+# back when done with them.  Every numpy call gets its destination row as
+# ``out``; without a workspace that row is None, numpy allocates, and the
+# helpers below apply Python's operators, so a single pair's numpy
+# scalars keep their fast arithmetic.  A ufunc writing into a row rounds
+# exactly as one allocating its result, so the bits do not depend on ws.
+# ---------------------------------------------------------------------------
+
+
+def _take(ws, count: int):
+    """count rows popped from the free rows ws, or count Nones without a workspace."""
+    if ws is None:
+        return (None,) * count
+    return [ws.pop() for _ in range(count)]
+
+
+def _give(ws, *rows) -> None:
+    """Put rows back on the free rows ws; nothing without a workspace."""
+    if ws is not None:
+        ws.extend(rows)
+
+
+def _own(ws, x):
+    """x's own row, to be written over, or None without a workspace."""
+    return None if ws is None else x
+
+
+def _bools(row):
+    """A boolean mask in the first bytes of the float row, or None."""
+    return None if row is None else row.view(np.bool_)[..., : row.shape[-1]]
+
+
+def _add(a, b, out):
+    return a + b if out is None else np.add(a, b, out=out)
+
+
+def _sub(a, b, out):
+    return a - b if out is None else np.subtract(a, b, out=out)
+
+
+def _mul(a, b, out):
+    return a * b if out is None else np.multiply(a, b, out=out)
+
+
+def _div(a, b, out):
+    return a / b if out is None else np.divide(a, b, out=out)
+
+
+def _greater(a, b, out):
+    return a > b if out is None else np.greater(a, b, out=out)
+
+
+# Unary ufuncs take a numpy scalar's fast path only when called without out=.
+def _sqrt(x, out):
+    return np.sqrt(x) if out is None else np.sqrt(x, out=out)
+
+
+def _abs(x, out):
+    return np.abs(x) if out is None else np.abs(x, out=out)
+
+
+def _neg(x, out):
+    return -x if out is None else np.negative(x, out=out)
+
+
+def _where(cond, x, y, out):
+    """np.where(cond, x, y), written over y's own row out when there is one."""
+    if out is None:
+        return np.where(cond, x, y)
+    np.copyto(out, x, where=cond)
+    return out
+
+
+def _one_minus_square(r, ws=None):
     """1 - r^2 = 1/cosh^2(artanh r), as (1-r)(1+r), which keeps its accuracy near r = 1.
 
     The package's one home for this quantity; positive for 0 <= r < 1.
     """
-    return (1.0 - r) * (1.0 + r)
+    gap, tmp = _take(ws, 2)
+    value = _mul(_sub(1.0, r, gap), _add(1.0, r, tmp), gap)
+    _give(ws, tmp)
+    return value
 
 
-def _gamma(r):
+def _gamma(r, ws=None):
     """Lorentz factor 1/sqrt(1 - r^2)."""
-    return 1.0 / np.sqrt(_one_minus_square(r))
+    gap = _one_minus_square(r, ws)
+    row = _own(ws, gap)
+    return _div(1.0, _sqrt(gap, row), row)
 
 
-def _law_of_cosines(dot, ru, rv):
+def _law_of_cosines(dot, ru, rv, ws=None):
     """Lorentz factors (g_u, g_v, g_w) of u, v and u (+) v, from u.v and norms below 1.
 
     g_w = g_u g_v (1 + u.v) = cosh(phi_w) is the hyperbolic law of
     cosines; every route and function that needs g_w takes it from here.
     """
-    gu = _gamma(ru)
-    gv = _gamma(rv)
-    return gu, gv, gu * gv * (1.0 + dot)
+    gu = _gamma(ru, ws)
+    gv = _gamma(rv, ws)
+    gw, tmp = _take(ws, 2)
+    value = _mul(_mul(gu, gv, gw), _add(1.0, dot, tmp), gw)
+    _give(ws, tmp)
+    return gu, gv, value
 
 
 def _xyz(n):
@@ -94,15 +183,23 @@ def _xyz(n):
     return n[..., 0], n[..., 1], n[..., 2]
 
 
-def _norm3(x, y, z):
+def _norm3(x, y, z, ws=None):
     # The package's one Bloch norm.  Its summation order matches
     # numpy.linalg.norm over a length-3 last axis, bit for bit.
-    return np.sqrt(x * x + y * y + z * z)
+    out, tmp = _take(ws, 2)
+    total = _add(_mul(x, x, out), _mul(y, y, tmp), out)
+    total = _add(total, _mul(z, z, tmp), out)
+    _give(ws, tmp)
+    return _sqrt(total, out)
 
 
-def _dot3(u, v) -> np.ndarray:
+def _dot3(u, v, ws=None):
     # Fixed accumulation order, so the result is bit-identical under swap.
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+    out, tmp = _take(ws, 2)
+    dot = _add(_mul(u[..., 0], v[..., 0], out), _mul(u[..., 1], v[..., 1], tmp), out)
+    dot = _add(dot, _mul(u[..., 2], v[..., 2], tmp), out)
+    _give(ws, tmp)
+    return dot
 
 
 def _numbers(x, dtype=float) -> np.ndarray:
@@ -200,17 +297,24 @@ def _entries(m):
     )
 
 
-def _density_entries(x, y, z):
+def _density_entries(x, y, z, ws=None):
     """Entries of (1 + sigma.n)/2 for n = (x, y, z)."""
-    return 0.5 * (1.0 + z), 0.5 * (1.0 - z), 0.5 * x, -0.5 * y
+    a, d, b_re, b_im = _take(ws, 4)
+    return (
+        _mul(0.5, _add(1.0, z, a), a),
+        _mul(0.5, _sub(1.0, z, d), d),
+        _mul(0.5, x, b_re),
+        _mul(-0.5, y, b_im),
+    )
 
 
-def _bloch_of_entries(a, d, b_re, b_im):
+def _bloch_of_entries(a, d, b_re, b_im, ws=None):
     """Components k of Re trace(rho sigma_k) for rho given by its entries."""
-    return 2.0 * b_re, -2.0 * b_im, a - d
+    x, y, z = _take(ws, 3)
+    return _mul(2.0, b_re, x), _mul(-2.0, b_im, y), _sub(a, d, z)
 
 
-def _eig2(a, d, b_re, b_im):
+def _eig2(a, d, b_re, b_im, ws=None):
     """Eigenvalues (low, high) of [[a, b], [conj(b), d]]: mean -+ sqrt(((a-d)/2)^2 + |b|^2).
 
     The squares are summed as they are, without hypot, which numpy runs
@@ -220,10 +324,15 @@ def _eig2(a, d, b_re, b_im):
     density-scale entries, at most 1 in magnitude; _eig2_scaled takes
     any other matrix.
     """
-    mean = 0.5 * (a + d)
-    h = 0.5 * (a - d)
-    half_gap = np.sqrt(h * h + b_re * b_re + b_im * b_im)
-    return mean - half_gap, mean + half_gap
+    lo, hi, gap, tmp = _take(ws, 4)
+    mean = _mul(0.5, _add(a, d, hi), hi)
+    h = _mul(0.5, _sub(a, d, gap), gap)
+    square = _add(_mul(h, h, gap), _mul(b_re, b_re, tmp), gap)
+    half_gap = _sqrt(_add(square, _mul(b_im, b_im, tmp), gap), gap)
+    low = _sub(mean, half_gap, lo)
+    high = _add(mean, half_gap, hi)
+    _give(ws, gap, tmp)
+    return low, high
 
 
 def _eig2_scaled(a, d, b_re, b_im):
@@ -336,11 +445,22 @@ def hermitian_eigenvalues(m):
     return lo, hi
 
 
-def _sqrt_entries(x, y, z, r):
+def _sqrt_entries(x, y, z, r, ws=None):
     """Entries of sqrt((1 + sigma.n)/2) for n = (x, y, z) of norm r; see sqrt_density."""
-    alpha = 0.5 * (np.sqrt(0.5 * (1.0 + r)) + np.sqrt(np.maximum(0.5 * (1.0 - r), 0.0)))
-    four_alpha = 4.0 * alpha
-    return alpha + z / four_alpha, alpha - z / four_alpha, x / four_alpha, -y / four_alpha
+    p, s, q_re, q_im, alpha_row, scale_row = _take(ws, 6)
+    # alpha = (sqrt((1 + r)/2) + sqrt(max((1 - r)/2, 0))) / 2, its roots in p and s.
+    plus = _sqrt(_mul(0.5, _add(1.0, r, p), p), p)
+    minus = _sqrt(np.maximum(_mul(0.5, _sub(1.0, r, s), s), 0.0, out=s), s)
+    alpha = _mul(0.5, _add(plus, minus, alpha_row), alpha_row)
+    four_alpha = _mul(4.0, alpha, scale_row)
+    entries = (
+        _add(alpha, _div(z, four_alpha, p), p),
+        _sub(alpha, _div(z, four_alpha, s), s),
+        _div(x, four_alpha, q_re),
+        _div(_neg(y, q_im), four_alpha, q_im),
+    )
+    _give(ws, alpha_row, scale_row)
+    return entries
 
 
 def sqrt_density(rho) -> np.ndarray:
@@ -428,7 +548,7 @@ def _check_int(value, name: str, lo: int, hi: int) -> int:
     return int(value)
 
 
-def _direction(u_polar, u_azimuth):
+def _direction(u_polar, u_azimuth, ws=None):
     """Unit vectors (x, y, z), uniform on the sphere, from two uniforms in [0, 1).
 
     z = 2 u_polar - 1 is uniform on [-1, 1), which makes the point
@@ -440,29 +560,30 @@ def _direction(u_polar, u_azimuth):
     t is about -1.6e16: still finite, and its square cannot overflow.
     The vector is normalized last, so each row has norm 1 to rounding.
 
-    Takes arrays, and works in place on its own temporaries: where the
-    allocator hands freed memory back to the system, a fresh 16384-row
-    temporary costs more in page faults than the arithmetic that fills
-    it, and fewer allocations are faster even where it does not.
+    Takes arrays, and works in place on five rows of its own: from ws,
+    shaped like u_polar, or fresh ones without a workspace.
     """
-    z = 2.0 * u_polar
+    z, s, t, t_sq, w = _take(ws, 5)
+    z = np.multiply(2.0, u_polar, out=z)
     z -= 1.0
-    s = 1.0 - z * z
+    s = np.subtract(1.0, np.multiply(z, z, out=s), out=s)
     np.sqrt(np.maximum(s, 0.0, out=s), out=s)
-    t = u_azimuth - 0.5
+    t = np.subtract(u_azimuth, 0.5, out=t)
     t *= np.pi
     np.tan(t, out=t)  # tan(theta / 2)
-    t_sq = t * t
-    w = 1.0 + t_sq
+    t_sq = np.multiply(t, t, out=t_sq)
+    w = np.add(1.0, t_sq, out=w)
     np.divide(s, w, out=w)  # s / (1 + t^2)
     x = np.subtract(1.0, t_sq, out=t_sq)
     x *= w  # s cos(theta)
     y = np.multiply(2.0, t, out=t)
     y *= w  # s sin(theta)
-    length = _norm3(x, y, z)
+    _give(ws, s, w)
+    length = _norm3(x, y, z, ws)
     x /= length
     y /= length
     z /= length
+    _give(ws, length)
     return x, y, z
 
 
@@ -489,7 +610,7 @@ def _stream_keys(seed: int, streams) -> np.ndarray:
     return keys[:, None, None]
 
 
-def _sample_streams(keys, regimes, indices) -> np.ndarray:
+def _sample_streams(keys, regimes, indices, ws=None) -> np.ndarray:
     """Sampler version 2 over several streams of one seed, in one pass; trusts its inputs.
 
     Takes the streams' keys from _stream_keys, one regime of REGIMES per
@@ -501,16 +622,35 @@ def _sample_streams(keys, regimes, indices) -> np.ndarray:
     draws both of its sides with one set of calls.  Word j of an index
     becomes a double in [0, 1) from its top 53 bits, in out[s, j], whose
     memory serves as the mixer's scratch until then.
+
+    ``ws`` is None or a float64 array of 8 len(keys) rows of
+    len(indices): the output takes its first 3 len(keys) rows, and the
+    words and then _direction's scratch the rest, so nothing is
+    allocated.  Without it, the output and every intermediate are fresh.
     """
-    out = np.empty((len(keys), 3, indices.size))
-    counter = indices * np.uint64(4) + _WORD_COUNTERS
+    streams, n = len(keys), indices.size
+    shape = (streams, 3, n)
+    if ws is None:
+        out, words, pairs = np.empty(shape), None, None
+    else:
+        out = ws[: 3 * streams].reshape(shape)
+        words = ws[3 * streams : 6 * streams].view(np.uint64).reshape(shape)
+        pairs = list(ws[3 * streams :].reshape(-1, streams, n))
+    mixed = out.view(np.uint64)
+    # 4 i goes through the words' first row, the counter through the output's.
+    scaled = np.multiply(indices, np.uint64(4), out=None if ws is None else words[0, 0])
+    counter = np.add(scaled, _WORD_COUNTERS, out=None if ws is None else mixed[0])
     counter *= _SM_GAMMA
-    words = _mix64(counter + keys, out.view(np.uint64))
+    words = _mix64(np.add(counter, keys, out=words), mixed)
     words >>= np.uint64(11)
-    np.multiply(words, 2.0**-53, out=out)
+    # Cast first, exactly (the words are below 2**53), then scale in place:
+    # multiplying the uint64 words by a float would cast through buffers
+    # that numpy allocates on every call.
+    out[...] = words
+    out *= 2.0**-53
     for s, regime in enumerate(regimes):
         _radius(regime, out[s, 2])
-    for k, component in enumerate(_direction(out[:, 0], out[:, 1])):
+    for k, component in enumerate(_direction(out[:, 0], out[:, 1], pairs)):
         np.multiply(out[:, 2], component, out=out[:, k])
     return out
 

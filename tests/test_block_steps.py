@@ -20,7 +20,17 @@ from hypothesis import strategies as st
 from buresgeo import measures, verify
 from buresgeo.hyperbolic import _hyperbolic_fidelity
 from buresgeo.measures import _EXACT_PURE_NORM, _PSD_SLACK, UNIT_SLACK, _closed_fidelity
-from buresgeo.qubit import PURE_NORM, _density_entries, _dot3, _gamma, _norm3, _xyz
+from buresgeo.qubit import (
+    PURE_NORM,
+    REGIMES,
+    _density_entries,
+    _dot3,
+    _gamma,
+    _norm3,
+    _sample_streams,
+    _stream_keys,
+    _xyz,
+)
 
 
 def _bits(x) -> np.ndarray:
@@ -136,7 +146,7 @@ def _matrix_tail_reference(lo, hi, r1, r2):
         )
     det_product = _ball_gap_reference(r1) * _ball_gap_reference(r2) / 16.0
     lam_minus = np.where(hi > 0.0, det_product / np.where(hi > 0.0, hi, 1.0), 0.0)
-    t = np.sqrt(hi) + np.sqrt(lam_minus)
+    t = np.sqrt(np.maximum(hi, 0.0)) + np.sqrt(lam_minus)
     return _clamp_unit_reference(t * t, "bures fidelity")
 
 
@@ -234,9 +244,9 @@ def test_routes_pure_mask_equals_reference(pairs):
     rv = np.where(nan_v, np.nan, rv_)
     seen = []
 
-    def spy(*args):
-        seen.append([_bits(a).tolist() for a in args])
-        return _hyperbolic_fidelity(*args)
+    def spy(dot, ru, rv, ws=None):
+        seen.append([_bits(a).tolist() for a in (dot, ru, rv)])
+        return _hyperbolic_fidelity(dot, ru, rv, ws)
 
     with mock.patch.object(verify, "_hyperbolic_fidelity", spy):
         got = _outcome(lambda *a: np.stack(verify._routes(*a)), u, v, ru, rv)
@@ -286,3 +296,39 @@ def test_exact_sum_mantissa_equals_reference(values):
     for i in range(len(values)):
         assert verify._exact_sum(x[i : i + 1]) == _exact_sum_reference(x[i : i + 1])
     assert verify._exact_sum(x) == _exact_sum_reference(x)
+
+
+@pytest.mark.parametrize("regime_v", REGIMES)
+@pytest.mark.parametrize("regime_u", REGIMES)
+def test_workspace_rows_give_the_same_bits(regime_u, regime_v):
+    # A sweep thread's workspace: row 0 holds the indices, rows 1-16 the
+    # sampler's, and rows 7 onwards the route kernels', joined by the
+    # sampler's output rows 1-6 once the density entries are formed.  Every
+    # kernel must give the bits it gives without one, and put back every
+    # row it does not return.
+    n = 700
+    rows = np.empty((verify._WORKSPACE_ROWS, n))
+    keys = _stream_keys(9, (0, 1))
+    indices = rows[0].view(np.uint64)
+    indices[:] = np.arange(3 * n, 4 * n, dtype=np.uint64)
+    regimes = (regime_u, regime_v)
+    fresh = _sample_streams(keys, regimes, indices.copy())
+    u, v = fresh[0].T, fresh[1].T
+    expected = verify._routes(u, v, _norm3(*_xyz(u)), _norm3(*_xyz(v)))
+
+    w = _sample_streams(keys, regimes, indices, rows[1:17])
+    assert np.array_equal(_bits(w), _bits(fresh))
+    pool = list(rows[7:])
+    ru, rv = _norm3(*_xyz(w[0].T), pool), _norm3(*_xyz(w[1].T), pool)
+    got = verify._routes(w[0].T, w[1].T, ru, rv, pool)
+    assert np.array_equal(_bits(np.stack(got)), _bits(np.stack(expected)))
+    # Six sampler rows joined; ru, rv and the four results are held.
+    assert len(pool) == len(rows) - 7 + 6 - 2 - 4
+
+    w = _sample_streams(keys, regimes, indices, rows[1:17])
+    pool = list(rows[7:])
+    spread = verify._route_spread(w[0].T, w[1].T, pool)
+    assert len(pool) == len(rows) - 7 + 6 - 1
+    assert np.array_equal(_bits(spread), _bits(expected[3]))
+    assert verify._exact_sum(spread, pool) == verify._exact_sum(expected[3])
+    assert len(pool) == len(rows) - 7 + 6 - 1

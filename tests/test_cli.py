@@ -1,8 +1,10 @@
 """Tests for the command-line envelope interface and its exit codes."""
 
+import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +50,14 @@ def run_cli(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def triple(u) -> str:
+    return ",".join(format(float(x), ".17g") for x in u)
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def strip_elapsed(payload: str) -> str:
@@ -112,6 +122,31 @@ class TestFidelityCommand:
         assert code == 1
         assert "theorem violation" in err
         assert json.loads(out)["result"]["max_pairwise_diff"] == 1e-6
+
+
+    def test_antipodal_pure_pairs_are_finite_json(self, capsys):
+        # sqrt(rho1) rho2 sqrt(rho1) vanishes for orthogonal pure states, and
+        # its larger eigenvalue can round to a tiny negative; its root is 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(500):
+                u = bg.random_bloch_indexed(98, "pure", i)
+                report = bg.compare(u, -u)
+                assert math.isfinite(report.f_matrix) and abs(report.f_matrix) <= 1e-10, i
+                code, out, err = run_cli(capsys, "fidelity", f"--u={triple(u)}", f"--v={triple(-u)}")
+                assert code == 0 and err == "", i
+                assert json.loads(out, parse_constant=refuse_constant)["result"]["f_matrix"] == report.f_matrix
+
+    def test_nan_spread_exits_one(self, capsys, monkeypatch):
+        real = cli.verify_mod.compare
+
+        def broken(u, v):
+            return dataclasses.replace(real(u, v), max_pairwise_diff=math.nan)
+
+        monkeypatch.setattr(cli.verify_mod, "compare", broken)
+        code, out, err = run_cli(capsys, "fidelity", "--u", "0.5,0,0", "--v", "0,0.5,0")
+        assert code == 1
+        assert err.startswith("theorem violation: routes disagree by nan")
 
 
 class TestTriangleCommand:
@@ -235,6 +270,21 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["result"]["max_diff"] > 1e-30
         assert "verification failed" in err
+
+    def test_nan_spread_exits_one(self, capsys, monkeypatch):
+        real = cli.verify_mod._route_spread
+
+        def nan_at_17(u, v, ws=None):
+            spread = real(u, v, ws)
+            spread[17:18] = math.nan  # 3000 trials run as one block: this is trial 17
+            return spread
+
+        monkeypatch.setattr(cli.verify_mod, "_route_spread", nan_at_17)
+        code, out, err = run_cli(capsys, "verify", "--seed", "42", "--trials", "3000")
+        assert code == 1
+        assert err.startswith("verification failed: max_diff nan > tolerance")
+        assert '"max_diff":nan,"mean_diff":nan,"p99_diff":nan' in out
+        assert '"worst_index":17' in out
 
     def test_rejects_zero_trials(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--trials", "0")

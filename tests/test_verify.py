@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,8 +229,11 @@ class TestSweep:
         def fail(*args, **kwargs):
             raise MemoryError
 
+        # One thread: a workspace of _WORKSPACE_ROWS rows of 10 trials, and
+        # 2k = 4 candidate doubles for the k = 10 - floor(9 * 0.99) = 2 largest.
         monkeypatch.setattr(verify.np, "empty", fail)
-        with pytest.raises(ValueError, match="trials=10 needs 80 bytes"):
+        nbytes = 8 * (verify._WORKSPACE_ROWS * 10 + 4)
+        with pytest.raises(ValueError, match=f"trials=10 needs {nbytes} bytes"):
             bg.sweep(0, 10, "uniform_ball", "uniform_ball")
 
     def test_accepts_numpy_integers(self):
@@ -266,9 +270,9 @@ class TestThreadedSweep:
         _force_threads(monkeypatch, threads)
         monkeypatch.setattr(
             verify, "_sample_streams",
-            lambda keys, regimes, idx: np.stack([[idx.astype(float)] * 3] * len(keys)),
+            lambda keys, regimes, idx, ws=None: np.stack([[idx.astype(float)] * 3] * len(keys)),
         )
-        monkeypatch.setattr(verify, "_route_spread", lambda u, v: spreads[u[:, 0].astype(int)])
+        monkeypatch.setattr(verify, "_route_spread", lambda u, v, ws=None: spreads[u[:, 0].astype(int)])
         summary = bg.sweep(0, len(spreads), "pure", "pure")
         assert summary.mean_diff == math.fsum(spreads) / len(spreads)
         assert summary.max_diff == 1.0 and summary.worst_index == 0
@@ -289,11 +293,11 @@ class TestThreadedSweep:
         calls = itertools.count()
         raised = []
 
-        def failing(u, v):
+        def failing(u, v, ws=None):
             if next(calls) == 2:
                 raised.append(ValueError("injected block failure"))
                 raise raised[-1]
-            return original(u, v)
+            return original(u, v, ws)
 
         monkeypatch.setattr(verify, "_route_spread", failing)
         before = threading.active_count()
@@ -331,6 +335,87 @@ class TestThreadedSweep:
                     break
         finally:
             sys.setswitchinterval(interval)
+
+
+def _grid_spreads(nan_xs=()):
+    """A _route_spread stand-in: |u.x| on a grid of eighths, NaN where u.x is listed.
+
+    The largest grid value turns up in many blocks and stripes, and ties
+    crowd the order statistics around the p99.
+    """
+    nan_xs = np.asarray(nan_xs, dtype=float)
+
+    def spreads(u, v, ws=None):
+        out = np.round(np.abs(u[:, 0]) * 8.0) / 8.0
+        out[np.isin(u[:, 0], nan_xs)] = np.nan
+        return out
+
+    return spreads
+
+
+class TestReductions:
+    """Per-block sums, maxima and p99 candidates merge to the one-array summary."""
+
+    SEED = 606
+
+    # 1001 trials keep k = 11 candidates; 100_000 keep k = 1001, more than a
+    # 1000-trial block, and 410_000 keep k = 4101, more than a 4096-trial one.
+    @pytest.mark.parametrize("trials", [1, 2, 3, 101, 1001, 4097, 100_000, 410_000])
+    def test_merged_reductions_equal_one_array(self, monkeypatch, trials):
+        chosen = sorted({trials - 1, trials // 2, min(1500, trials - 1)})
+        xs = bg.random_bloch_indexed(self.SEED, "uniform_ball", chosen)[:, 0]
+        variants = {
+            "ties": _grid_spreads(),
+            "nan": _grid_spreads(xs),
+            "nan in the last block": _grid_spreads(xs[-1:]),
+            "zeros": lambda u, v, ws=None: np.zeros(len(u)),
+            "distinct": lambda u, v, ws=None: np.abs(u[:, 0]) * 1e-12,
+        }
+        for name, spreads in variants.items():
+            monkeypatch.setattr(verify, "_route_spread", spreads)
+            expected = repr(_single_call_summary.__wrapped__(self.SEED, trials, "uniform_ball", "uniform_ball"))
+            for block in (1000, 4096):
+                for threads in (1, 2, 3):
+                    monkeypatch.setattr(verify, "_BLOCK", block)
+                    _force_threads(monkeypatch, threads)
+                    summary = bg.sweep(self.SEED, trials, "uniform_ball", "uniform_ball")
+                    assert repr(_strip_elapsed(summary)) == expected, (name, block, threads)
+
+    def test_memory_does_not_grow_with_trials(self):
+        # A per-trial spread array would add 7.2 MB from 1e5 to 1e6 trials;
+        # the p99 candidates add 16 B per extra candidate and thread.
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                bg.sweep(5, trials, "uniform_ball", "uniform_ball")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10**6) - peak(10**5) < 2**20
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0, math.nan, math.inf]), st.floats(0.0, 2.0)),
+        min_size=1,
+        max_size=300,
+    ),
+    k=st.integers(1, 40),
+    cuts=st.lists(st.integers(0, 300), max_size=8),
+)
+def test_largest_keeps_the_k_largest(values, k, cuts):
+    x = np.array(values)
+    k = min(k, len(x))
+    largest = verify._Largest(k)
+    bounds = sorted({0, len(x), *(min(c, len(x)) for c in cuts)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        largest.add(x[lo:hi].copy(), list(np.empty((2, hi - lo))))
+        # The floor never passes the k-th largest value added so far.
+        kth = np.sort(x[:hi])[-k] if hi >= k else -math.inf
+        assert not largest.floor > kth
+    assert repr(largest.top().tolist()) == repr(np.sort(x)[-k:].tolist())
 
 
 _SPECIAL = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.0, 1e-300, 1e300]
