@@ -11,10 +11,11 @@ import dataclasses
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import verify as verify_mod
-from .hyperbolic import geodesic_points, triangle
-from .qubit import REGIMES, as_bloch_vector
+from .hyperbolic import _polyline_count, _polylines, _triangle
+from .qubit import REGIMES, _checked_bloch
 
 __all__ = ["main"]
 
@@ -34,22 +35,35 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt_float(x: float) -> str:
-    # 17 significant digits round-trip any 64-bit float exactly.
-    return format(float(x), ".17g")
+# Formats of a point, 2 or 3 floats, written in one call.
+_POINTS = {2: "[%.17g,%.17g]", 3: "[%.17g,%.17g,%.17g]"}
 
 
 def _emit(value) -> str:
     """Serialize the envelope deterministically (insertion-ordered keys).
 
-    Takes Python values only: arrays are passed as ``.tolist()``.
+    Takes Python values only: arrays are passed as ``.tolist()``.  Floats
+    are written with 17 significant digits, which read back to the same
+    64-bit float, and as null where they are not finite, which JSON cannot
+    hold.  A point, a list or tuple of 2 or 3 floats such as a polyline
+    point or a Bloch vector, takes one format call.
     """
     if isinstance(value, float):
-        return _fmt_float(value)
+        text = "%.17g" % value
+        return "null" if text[-1] in "nf" else text  # nan, inf, -inf
     if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in value.items()) + "}"
+        items = [encode_basestring_ascii(k) + ":" + _emit(v) for k, v in value.items()]
+        return "{" + ",".join(items) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_emit(item) for item in value) + "]"
+        point = _POINTS.get(len(value))
+        # value[-1] is value[1] or value[2]: all the items are checked.
+        if point and isinstance(value[0], float) and isinstance(value[1], float) and isinstance(value[-1], float):
+            text = point % tuple(value)
+            if "n" not in text:  # finite: only digits, '.', '-', 'e' and '+'
+                return text
+        return "[" + ",".join([_emit(item) for item in value]) + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)  # what json.dumps writes for a str
     return json.dumps(value)
 
 
@@ -69,7 +83,20 @@ def _envelope(command: str, inputs: dict, result: dict) -> str:
     )
 
 
+def _csv(lines) -> str:
+    """The triangle's polylines, lists of (x, y) per edge in _EDGES order, as CSV rows.
+
+    Each row takes one format call; floats are written as in _emit, and
+    a non-finite one as nan or inf.
+    """
+    rows = ["edge,index,x,y"]
+    for (name, _, _), line in zip(_EDGES, lines):
+        rows += ["%s,%d,%.17g,%.17g" % (name, i, x, y) for i, (x, y) in enumerate(line)]
+    return "\n".join(rows)
+
+
 def _parse_triple(text: str, flag: str):
+    """The Bloch vector in text, validated once, and its norm."""
     parts = text.split(",")
     if len(parts) != 3:
         raise _UsageError(f"{flag} expects three comma-separated reals, got {text!r}")
@@ -78,15 +105,15 @@ def _parse_triple(text: str, flag: str):
     except ValueError:
         raise _UsageError(f"{flag} expects three comma-separated reals, got {text!r}") from None
     try:
-        return as_bloch_vector(values)
+        return _checked_bloch(values)
     except ValueError as exc:
         raise _UsageError(f"{flag}: {exc}") from None
 
 
 def _cmd_fidelity(args) -> int:
-    u = _parse_triple(args.u, "--u")
-    v = _parse_triple(args.v, "--v")
-    report = verify_mod.compare(u, v)
+    u, ru = _parse_triple(args.u, "--u")
+    v, rv = _parse_triple(args.v, "--v")
+    report = verify_mod._compare(u, ru, v, rv)
     result = _fields(report)
     result["regime_flags"] = sorted(report.regime_flags)
     print(_envelope("fidelity", {"u": report.u, "v": report.v, "format": args.format}, result))
@@ -102,30 +129,25 @@ def _cmd_fidelity(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    u = _parse_triple(args.u, "--u")
-    v = _parse_triple(args.v, "--v")
+    u, ru = _parse_triple(args.u, "--u")
+    v, rv = _parse_triple(args.v, "--v")
     try:
-        tri = triangle(u, v)
+        tri = _triangle(u, ru, v, rv)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     try:
-        polylines = {
-            name: geodesic_points(getattr(tri, start), getattr(tri, end), args.samples_per_edge).tolist()
-            for name, start, end in _EDGES
-        }
+        count = _polyline_count(args.samples_per_edge)
     except ValueError as exc:
         raise _UsageError(f"--samples-per-edge: {exc}") from None
+    ends = [(complex(*getattr(tri, start)), complex(*getattr(tri, end))) for _, start, end in _EDGES]
+    lines = _polylines(ends, count).tolist()
 
     if args.format == "csv":
-        lines = ["edge,index,x,y"]
-        for name, _, _ in _EDGES:
-            for i, (x, y) in enumerate(polylines[name]):
-                lines.append(f"{name},{i},{_fmt_float(x)},{_fmt_float(y)}")
-        print("\n".join(lines))
+        print(_csv(lines))
         return EXIT_OK
 
     result = _fields(tri)
-    result["polylines"] = polylines
+    result["polylines"] = {name: line for (name, _, _), line in zip(_EDGES, lines)}
     inputs = {
         "u": u.tolist(),
         "v": v.tolist(),

@@ -302,7 +302,7 @@ def _geodesic_midpoint(b: complex, c: complex) -> complex:
     rt = abs(t)
     if rt == 0.0:
         return b
-    d = _disk_distance((b.real, b.imag), (c.real, c.imag))
+    d = _disk_distance(b.real, b.imag, c.real, c.imag)
     return _mobius_from_origin(b, math.tanh(d / 4.0) * (t / rt))
 
 
@@ -318,33 +318,53 @@ def _disk_point(p) -> complex:
     return p
 
 
+def _polyline_count(count) -> int:
+    """count as an int from 2 to _MAX_POLYLINE_POINTS; anything else raises ValueError."""
+    if isinstance(count, numbers.Integral) and count < 2:
+        raise ValueError("a geodesic polyline needs at least 2 points")
+    return _check_int(count, "count", 2, _MAX_POLYLINE_POINTS + 1)
+
+
+def _polylines(ends, count: int) -> np.ndarray:
+    """Polylines along the geodesics b -> c of ends, as an array of shape (len(ends), count, 2).
+
+    Takes trusted input: (b, c) pairs of complex numbers strictly inside
+    the disk, and a count checked by _polyline_count.  Each row is what
+    geodesic_points returns for its pair, bit for bit; linspace, tanh
+    and the Mobius map run once over all rows.
+    """
+    starts = np.array([b for b, _ in ends], dtype=complex)
+    units = np.zeros(len(ends), dtype=complex)
+    halves = np.zeros(len(ends))
+    for i, (b, c) in enumerate(ends):
+        t = _mobius_to_origin(b, c)
+        rt = abs(t)
+        if rt != 0.0:
+            units[i] = t / rt
+            # Arc length from the stable distance form; |t| saturates near the rim.
+            halves[i] = _disk_distance(b.real, b.imag, c.real, c.imag) / 2.0
+    radii = np.tanh(np.linspace(0.0, 1.0, count) * halves[:, None])
+    z = _mobius_from_origin(starts[:, None], radii * units[:, None])
+    for i, (b, c) in enumerate(ends):
+        if units[i] == 0.0:  # b == c: the geodesic is one point
+            z[i] = b
+        z[i, 0] = b
+        z[i, -1] = c
+    return np.stack((z.real, z.imag), axis=-1)
+
+
 def geodesic_points(p, q, count: int) -> np.ndarray:
     """``count`` points along the geodesic from p to q, equally spaced in arc length.
 
     Endpoints are returned exactly.  Points are (x, y) rows; p and q may
     be 2-vectors or complex numbers strictly inside the unit disk.
     ``count`` is an integer from 2 to _MAX_POLYLINE_POINTS; anything
-    else, like a point on or outside the rim, raises ValueError.
+    else, like a point on or outside the rim, raises ValueError.  The
+    points come from _polylines, the kernel the CLI's triangle command
+    calls for all three edges at once.
     """
-    if isinstance(count, numbers.Integral) and count < 2:
-        raise ValueError("a geodesic polyline needs at least 2 points")
-    count = _check_int(count, "count", 2, _MAX_POLYLINE_POINTS + 1)
-    b = _disk_point(p)
-    c = _disk_point(q)
-    t = _mobius_to_origin(b, c)
-    rt = abs(t)
-    fractions = np.linspace(0.0, 1.0, count)
-    if rt == 0.0:
-        z = np.full(count, b, dtype=complex)
-    else:
-        # Arc length from the stable distance form; |t| saturates near the rim.
-        d = _disk_distance((b.real, b.imag), (c.real, c.imag))
-        radii = np.tanh(fractions * (d / 2.0))
-        z = _mobius_from_origin(b, radii * (t / rt))
-    out = np.column_stack([z.real, z.imag])
-    out[0] = (b.real, b.imag)
-    out[-1] = (c.real, c.imag)
-    return out
+    count = _polyline_count(count)
+    return _polylines(((_disk_point(p), _disk_point(q)),), count)[0]
 
 
 def disk_distance(p, q) -> float:
@@ -358,20 +378,25 @@ def disk_distance(p, q) -> float:
     q = _numbers(q)
     if p.shape[-1:] != (2,) or q.shape[-1:] != (2,):
         raise ValueError(f"Poincare-disk points have 2 coordinates, got shapes {p.shape} and {q.shape}")
+    px, py, qx, qy = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
     with np.errstate(over="ignore"):  # a huge coordinate's depth overflows to -inf
-        inside = (1.0 - np.sum(p * p, axis=-1) > 0.0) & (1.0 - np.sum(q * q, axis=-1) > 0.0)
+        inside = (1.0 - (px * px + py * py) > 0.0) & (1.0 - (qx * qx + qy * qy) > 0.0)
     if not inside.all():  # False on NaN
         raise ValueError("Poincare-disk points must lie strictly inside the unit disk")
-    return _disk_distance(p, q)
+    return _disk_distance(px, py, qx, qy)
 
 
-def _disk_distance(p, q):
-    """disk_distance of points known to lie strictly inside the disk."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    pq2 = np.sum((p - q) ** 2, axis=-1)
-    depth = (1.0 - np.sum(p * p, axis=-1)) * (1.0 - np.sum(q * q, axis=-1))
-    return np.arccosh(1.0 + 2.0 * pq2 / depth)[()]
+def _disk_distance(px, py, qx, qy):
+    """disk_distance from the coordinates of points known to lie strictly inside the disk.
+
+    Takes arrays or Python floats.  Each sum of two squares is added in
+    the order np.sum takes over a length-2 axis, so both give the bits of
+    that form.
+    """
+    dx = px - qx
+    dy = py - qy
+    depth = (1.0 - (px * px + py * py)) * (1.0 - (qx * qx + qy * qy))
+    return np.arccosh(1.0 + 2.0 * (dx * dx + dy * dy) / depth)[()]
 
 
 def triangle(u, v) -> HyperbolicTriangle:
@@ -386,11 +411,21 @@ def triangle(u, v) -> HyperbolicTriangle:
     cross-checked in the test suite against the geodesic midpoint
     coordinates.  Norms must lie in (DEGENERATE_NORM, PURE_NORM]:
     smaller leaves the direction undefined, larger has no finite sides.
+    Validates u and v, then builds the triangle with _triangle, which
+    the CLI calls directly on vectors it has validated itself.
     """
     u, ru = _checked_bloch(u)
     v, rv = _checked_bloch(v)
     if u.shape != (3,) or v.shape != (3,):
         raise ValueError("triangle takes a single pair of Bloch vectors")
+    return _triangle(u, ru, v, rv)
+
+
+def _triangle(u, ru, v, rv) -> HyperbolicTriangle:
+    """triangle of trusted Bloch vectors u, v of shape (3,) and their norms.
+
+    Still raises ValueError for norms outside (DEGENERATE_NORM, PURE_NORM].
+    """
     ru = float(ru)
     rv = float(rv)
     if ru <= DEGENERATE_NORM or rv <= DEGENERATE_NORM:

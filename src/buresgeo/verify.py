@@ -179,13 +179,19 @@ def compare(u, v) -> FidelityReport:
     """Compute every route valid for (u, v) and report their spread.
 
     Never raises on pure inputs; the hyperbolic route is simply omitted
-    and flagged.
+    and flagged.  Validates u and v, then reports through _compare, which
+    the CLI calls directly on vectors it has validated itself.
     """
     u, ru = _checked_bloch(u)
     v, rv = _checked_bloch(v)
     if u.shape != (3,) or v.shape != (3,):
         raise ValueError("compare takes a single pair of Bloch vectors")
-    f_matrix, f_closed, f_hyp, spread = (float(x) for x in _routes(u, v, ru, rv))
+    return _compare(u, ru, v, rv)
+
+
+def _compare(u, ru, v, rv) -> FidelityReport:
+    """compare of trusted Bloch vectors u, v of shape (3,) and their norms."""
+    f_matrix, f_closed, f_hyp, spread = map(float, _routes(u, v, ru, rv))
     return FidelityReport(
         u=tuple(u.tolist()),
         v=tuple(v.tolist()),

@@ -1,9 +1,13 @@
 """Tests for the command-line envelope interface and its exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import os
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -60,6 +64,11 @@ def refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def parse(out: str):
+    """The envelope in out, read by a parser that refuses NaN and Infinity."""
+    return json.loads(out, parse_constant=refuse_constant)
+
+
 def strip_elapsed(payload: str) -> str:
     return re.sub(r'"elapsed_seconds":[0-9eE.+-]+', '"elapsed_seconds":0', payload)
 
@@ -73,21 +82,21 @@ class TestFidelityCommand:
 
     def test_floats_round_trip_exactly(self, capsys):
         _, out, _ = run_cli(capsys, "fidelity", "--u", "0.5,0,0", "--v", "0,0.5,0")
-        result = json.loads(out)["result"]
+        result = parse(out)["result"]
         assert result["f_closed"] == float(bg.bures_fidelity_closed([0.5, 0, 0], [0, 0.5, 0]))
         assert result["d_trace"] == float(bg.trace_distance_bloch([0.5, 0, 0], [0, 0.5, 0]))
         assert result["f_hyperbolic"] == float(bg.fidelity_hyperbolic([0.5, 0, 0], [0, 0.5, 0]))
 
     def test_identical_mixed_states(self, capsys):
         code, out, _ = run_cli(capsys, "fidelity", "--u", "0,0,0", "--v", "0,0,0")
-        result = json.loads(out)["result"]
+        result = parse(out)["result"]
         assert code == 0
         assert result["f_matrix"] == result["f_closed"] == result["f_hyperbolic"] == 1.0
         assert result["d_trace"] == 0.0
 
     def test_pure_pair_omits_hyperbolic(self, capsys):
         code, out, _ = run_cli(capsys, "fidelity", "--u", "0,0,1", "--v", "0,0,-1")
-        result = json.loads(out)["result"]
+        result = parse(out)["result"]
         assert code == 0
         assert result["f_hyperbolic"] is None
         assert result["regime_flags"] == ["pure_u", "pure_v"]
@@ -110,18 +119,16 @@ class TestFidelityCommand:
 
     def test_route_disagreement_exits_one(self, capsys, monkeypatch):
         # The inconsistency path should never fire in practice; force it.
-        import dataclasses
+        real = cli.verify_mod._compare
 
-        real = cli.verify_mod.compare
+        def broken(u, ru, v, rv):
+            return dataclasses.replace(real(u, ru, v, rv), max_pairwise_diff=1e-6)
 
-        def broken(u, v):
-            return dataclasses.replace(real(u, v), max_pairwise_diff=1e-6)
-
-        monkeypatch.setattr(cli.verify_mod, "compare", broken)
+        monkeypatch.setattr(cli.verify_mod, "_compare", broken)
         code, out, err = run_cli(capsys, "fidelity", "--u", "0.5,0,0", "--v", "0,0.5,0")
         assert code == 1
         assert "theorem violation" in err
-        assert json.loads(out)["result"]["max_pairwise_diff"] == 1e-6
+        assert parse(out)["result"]["max_pairwise_diff"] == 1e-6
 
 
     def test_antipodal_pure_pairs_are_finite_json(self, capsys):
@@ -135,18 +142,19 @@ class TestFidelityCommand:
                 assert math.isfinite(report.f_matrix) and abs(report.f_matrix) <= 1e-10, i
                 code, out, err = run_cli(capsys, "fidelity", f"--u={triple(u)}", f"--v={triple(-u)}")
                 assert code == 0 and err == "", i
-                assert json.loads(out, parse_constant=refuse_constant)["result"]["f_matrix"] == report.f_matrix
+                assert parse(out)["result"]["f_matrix"] == report.f_matrix
 
     def test_nan_spread_exits_one(self, capsys, monkeypatch):
-        real = cli.verify_mod.compare
+        real = cli.verify_mod._compare
 
-        def broken(u, v):
-            return dataclasses.replace(real(u, v), max_pairwise_diff=math.nan)
+        def broken(u, ru, v, rv):
+            return dataclasses.replace(real(u, ru, v, rv), max_pairwise_diff=math.nan)
 
-        monkeypatch.setattr(cli.verify_mod, "compare", broken)
+        monkeypatch.setattr(cli.verify_mod, "_compare", broken)
         code, out, err = run_cli(capsys, "fidelity", "--u", "0.5,0,0", "--v", "0,0.5,0")
         assert code == 1
         assert err.startswith("theorem violation: routes disagree by nan")
+        assert parse(out)["result"]["max_pairwise_diff"] is None
 
 
 class TestTriangleCommand:
@@ -169,19 +177,19 @@ class TestTriangleCommand:
 
     def test_right_angle_payload(self, capsys):
         _, out, _ = run_cli(capsys, "triangle", "--u", "0.5,0,0", "--v", "0,0.5,0")
-        result = json.loads(out)["result"]
+        result = parse(out)["result"]
         assert result["angle_a"] == math.pi / 2
 
     def test_collinear_pair_is_valid(self, capsys):
         code, out, _ = run_cli(capsys, "triangle", "--u", "0.3,0,0", "--v", "0.3,0,0")
-        result = json.loads(out)["result"]
+        result = parse(out)["result"]
         assert code == 0
         assert result["angle_a"] == math.pi
         np.testing.assert_allclose(result["phi_w"], 2 * math.atanh(0.3), atol=1e-12)
 
     def test_polyline_endpoints_match_vertices(self, capsys):
         _, out, _ = run_cli(capsys, "triangle", "--u", "0.4,0.1,0", "--v", "0,0.5,0.2")
-        result = json.loads(out)["result"]
+        result = parse(out)["result"]
         for edge, start, end in (("AB", "disk_a", "disk_b"), ("AC", "disk_a", "disk_c"), ("BC", "disk_b", "disk_c")):
             line = result["polylines"][edge]
             assert len(line) == 32
@@ -204,7 +212,7 @@ class TestTriangleCommand:
         _, json_out, _ = run_cli(
             capsys, "triangle", "--u", "0.5,0,0", "--v", "0,0.5,0", "--samples-per-edge", "4"
         )
-        polylines = json.loads(json_out)["result"]["polylines"]
+        polylines = parse(json_out)["result"]["polylines"]
         for line in lines[1:]:
             edge, index, x, y = line.split(",")
             assert polylines[edge][int(index)] == [float(x), float(y)]
@@ -252,7 +260,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert err == ""
-        payload = json.loads(out)
+        payload = parse(out)
         assert payload["result"]["max_diff"] <= 1e-10
         assert payload["inputs"]["tolerance"] == 1e-10
 
@@ -268,7 +276,7 @@ class TestVerifyCommand:
             capsys, "verify", "--seed", "42", "--trials", "100", "--tolerance", "1e-30"
         )
         assert code == 1
-        assert json.loads(out)["result"]["max_diff"] > 1e-30
+        assert parse(out)["result"]["max_diff"] > 1e-30
         assert "verification failed" in err
 
     def test_nan_spread_exits_one(self, capsys, monkeypatch):
@@ -283,7 +291,8 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--seed", "42", "--trials", "3000")
         assert code == 1
         assert err.startswith("verification failed: max_diff nan > tolerance")
-        assert '"max_diff":nan,"mean_diff":nan,"p99_diff":nan' in out
+        assert '"max_diff":null,"mean_diff":null,"p99_diff":null' in out
+        parse(out)
         assert '"worst_index":17' in out
 
     def test_rejects_zero_trials(self, capsys):
@@ -305,7 +314,7 @@ class TestVerifyCommand:
 
     def test_worst_pair_round_trips(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--seed", "11", "--trials", "300")
-        result = json.loads(out)["result"]
+        result = parse(out)["result"]
         u = bg.random_bloch_indexed(11, "uniform_ball", result["worst_index"], stream=0)
         assert result["worst_u"] == list(u)
 
@@ -324,7 +333,7 @@ class TestNegativeComponents:
         joined = [command, f"--u={texts['--u']}", f"--v={texts['--v']}"]
         code, out, err = run_cli(capsys, *separate)
         assert (code, err) == (0, "")
-        payload = json.loads(out)
+        payload = parse(out)
         assert payload["inputs"]["u"] == values["--u"]
         assert payload["inputs"]["v"] == values["--v"]
         assert run_cli(capsys, *joined) == (code, out, err)
@@ -368,3 +377,168 @@ class TestCliShell:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["fidelity", "--u", "0,0,0", "--v", "0,0,0", "--bogus"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The writers before one format call per point, kept as oracles: every
+# finite float must come out byte for byte as they wrote it.
+# ---------------------------------------------------------------------------
+
+
+def oracle_fmt_float(x) -> str:
+    return format(float(x), ".17g")
+
+
+def oracle_emit(value) -> str:
+    if isinstance(value, float):
+        return oracle_fmt_float(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{oracle_emit(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(oracle_emit(item) for item in value) + "]"
+    return json.dumps(value)
+
+
+def oracle_csv(polylines: dict) -> str:
+    lines = ["edge,index,x,y"]
+    for name, _, _ in cli._EDGES:
+        for i, (x, y) in enumerate(polylines[name]):
+            lines.append(f"{name},{i},{oracle_fmt_float(x)},{oracle_fmt_float(y)}")
+    return "\n".join(lines)
+
+
+def oracle_envelope(command: str, inputs: dict, result: dict) -> str:
+    return oracle_emit({"schema_version": "1", "command": command, "inputs": inputs, "result": result}) + "\n"
+
+
+def record_fields(record) -> dict:
+    return {field.name: getattr(record, field.name) for field in dataclasses.fields(record)}
+
+
+def oracle_fidelity(u, v) -> str:
+    report = bg.compare(u, v)
+    result = record_fields(report)
+    result["regime_flags"] = sorted(report.regime_flags)
+    return oracle_envelope("fidelity", {"u": report.u, "v": report.v, "format": "json"}, result)
+
+
+def oracle_triangle(u, v, samples: int, fmt: str) -> str:
+    tri = bg.triangle(u, v)
+    polylines = {
+        name: bg.geodesic_points(getattr(tri, start), getattr(tri, end), samples).tolist()
+        for name, start, end in cli._EDGES
+    }
+    if fmt == "csv":
+        return oracle_csv(polylines) + "\n"
+    result = record_fields(tri)
+    result["polylines"] = polylines
+    inputs = {"u": list(u), "v": list(v), "samples_per_edge": samples, "format": fmt}
+    return oracle_envelope("triangle", inputs, result)
+
+
+def seeded_state(rng, radius) -> list:
+    d = rng.normal(size=3)
+    return [float(x) for x in radius * d / np.linalg.norm(d)]
+
+
+def seeded_fidelity_pair(rng, kind: str):
+    """A pair of each kind a benchmark cycle sends: ball, pure u, pure u and v, near-mixed, near-pure."""
+    u = seeded_state(rng, 0.999 * np.cbrt(rng.random()))
+    v = seeded_state(rng, 0.999 * np.cbrt(rng.random()))
+    if kind == "pure_u":
+        u = seeded_state(rng, 1.0)
+    elif kind == "pure_uv":
+        u, v = seeded_state(rng, 1.0), seeded_state(rng, 1.0)
+    elif kind == "near_mixed":
+        u = seeded_state(rng, 0.9e-3 * rng.random())
+    elif kind == "near_pure":
+        u = seeded_state(rng, 1.0 - 10.0 ** rng.uniform(-8.5, -3.5))
+        v = seeded_state(rng, 1.0 - 10.0 ** rng.uniform(-8.5, -3.5))
+    return u, v
+
+
+SPECIAL_FLOATS = (-0.0, 5e-324, 1e16, sys.float_info.max, 0.1, 1 / 3)
+
+
+class TestFormattingOracle:
+    @pytest.mark.parametrize("kind", ["ball", "pure_u", "pure_uv", "near_mixed", "near_pure"])
+    def test_fidelity_bytes_match_the_recursive_writer(self, capsys, kind):
+        rng = np.random.default_rng(["ball", "pure_u", "pure_uv", "near_mixed", "near_pure"].index(kind))
+        for _ in range(40):
+            u, v = seeded_fidelity_pair(rng, kind)
+            code, out, err = run_cli(capsys, "fidelity", f"--u={triple(u)}", f"--v={triple(v)}")
+            assert (code, err) == (0, "")
+            assert out == oracle_fidelity(u, v)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("samples", [2, 16, 24, 32, 64])
+    def test_triangle_bytes_match_the_recursive_writer(self, capsys, samples, fmt):
+        rng = np.random.default_rng(samples)
+        for _ in range(8):
+            u = seeded_state(rng, rng.uniform(0.05, 0.95))
+            v = seeded_state(rng, rng.uniform(0.05, 0.95))
+            code, out, err = run_cli(
+                capsys, "triangle", f"--u={triple(u)}", f"--v={triple(v)}",
+                "--samples-per-edge", str(samples), "--format", fmt,
+            )
+            assert (code, err) == (0, "")
+            assert out == oracle_triangle(u, v, samples, fmt)
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_special_floats_match_the_recursive_writer(self, kind):
+        values = [kind(x) for x in SPECIAL_FLOATS]
+        for x in values:
+            assert cli._emit(x) == oracle_emit(x) == format(float(x), ".17g")
+            for y in values:
+                assert cli._emit([x, y]) == oracle_emit([x, y])
+                assert cli._emit((y, x, y)) == oracle_emit((y, x, y))
+        line = [(x, y) for x in values for y in values]
+        assert cli._csv([line, line[::-1], line]) == oracle_csv({"AB": line, "AC": line[::-1], "BC": line})
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_non_finite_floats_are_null_in_json_only(self, kind):
+        nan, inf = kind(math.nan), kind(math.inf)
+        assert [cli._emit(x) for x in (nan, inf, -inf)] == ["null"] * 3
+        assert cli._emit([nan, kind(0.5)]) == "[null,0.5]"
+        assert cli._emit({"n": (kind(0.5), -inf, kind(1.0))}) == '{"n":[0.5,null,1]}'
+        parse(cli._emit({"n": [[inf, nan], [kind(0.5), kind(0.25)]]}))
+        assert cli._csv([[(nan, inf)], [], [(-inf, kind(0.5))]]) == "edge,index,x,y\nAB,0,nan,inf\nBC,0,-inf,0.5"
+
+
+class TestCallCounts:
+    """Python-level calls into the package's own functions for one request.
+
+    Counted with sys.setprofile on functions whose code lies in the
+    package, so the standard library and numpy do not count and Python
+    3.10 to 3.12 agree; 3.12 inlines comprehensions and may count fewer.
+    The bounds are the counts the request makes: validation once, the
+    scalar disk distance, one polyline kernel and one format call per
+    point.
+    """
+
+    PACKAGE = os.path.dirname(cli.__file__) + os.sep
+    U, V = "--u=0.3,-0.2,0.1", "--v=0.1,0.5,-0.4"
+
+    def calls(self, *argv) -> int:
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_filename.startswith(self.PACKAGE):
+                count += 1
+
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(list(argv)) == 0  # warm: the parser is built on the first call
+            sys.setprofile(profile)
+            try:
+                code = cli.main(list(argv))
+            finally:
+                sys.setprofile(None)
+        assert code == 0
+        return count
+
+    def test_fidelity_request(self):
+        assert self.calls("fidelity", self.U, self.V) <= 346
+
+    def test_triangle_json_request(self):
+        assert self.calls("triangle", self.U, self.V, "--samples-per-edge", "64") <= 344

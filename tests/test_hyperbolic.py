@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
+from buresgeo.hyperbolic import _disk_distance, _mobius_from_origin, _mobius_to_origin, _polylines
 
 LN2 = 0.6931471805599453
 NONPURE = ("uniform_ball", "near_pure", "near_mixed")
@@ -489,3 +490,83 @@ def test_einstein_sum_stays_in_ball_near_sphere(du, dv, gap_u, gap_v):
     v = dv / np.linalg.norm(dv) * (1.0 - gap_v)
     assume(bg.bloch_norm(u) < 1.0 and 1.0 + np.dot(u, v) > 1e-12)
     assert bg.bloch_norm(bg.einstein_add(u, v)) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# The disk kernels against the forms they replaced, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def sum_form_distance(p, q):
+    """disk_distance as np.sum over the length-2 coordinate axis."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    pq2 = np.sum((p - q) ** 2, axis=-1)
+    depth = (1.0 - np.sum(p * p, axis=-1)) * (1.0 - np.sum(q * q, axis=-1))
+    return np.arccosh(1.0 + 2.0 * pq2 / depth)
+
+
+def per_edge_polyline(b: complex, c: complex, count: int) -> np.ndarray:
+    """One geodesic polyline, built the way geodesic_points built it edge by edge."""
+    t = _mobius_to_origin(b, c)
+    rt = abs(t)
+    fractions = np.linspace(0.0, 1.0, count)
+    if rt == 0.0:
+        z = np.full(count, b, dtype=complex)
+    else:
+        d = sum_form_distance((b.real, b.imag), (c.real, c.imag))[()]
+        z = _mobius_from_origin(b, np.tanh(fractions * (d / 2.0)) * (t / rt))
+    out = np.column_stack([z.real, z.imag])
+    out[0] = (b.real, b.imag)
+    out[-1] = (c.real, c.imag)
+    return out
+
+
+# Radii across the disk and within 1e-16 of the rim, where 1 - |p|^2 cancels.
+_RADII = st.one_of(
+    st.floats(0.0, 0.999),
+    st.floats(0.999, 1.0, exclude_max=True),
+    st.integers(1, 16).map(lambda k: 1.0 - 10.0**-k),
+)
+_POINT = (
+    st.tuples(_RADII, st.floats(-math.pi, math.pi))
+    .map(lambda ra: (ra[0] * math.cos(ra[1]), ra[0] * math.sin(ra[1])))
+    .filter(lambda p: 1.0 - (p[0] * p[0] + p[1] * p[1]) > 0.0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_disk_distance_kernel_matches_the_sum_form_bit_for_bit(data):
+    shape = data.draw(
+        st.one_of(st.just(()), st.tuples(st.integers(1, 6)), st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    )
+    size = math.prod(shape)
+    p = np.array(data.draw(st.lists(_POINT, min_size=size, max_size=size))).reshape(shape + (2,))
+    q = np.array(data.draw(st.lists(_POINT, min_size=size, max_size=size))).reshape(shape + (2,))
+    want = np.asarray(sum_form_distance(p, q))
+    got = np.asarray(_disk_distance(p[..., 0], p[..., 1], q[..., 0], q[..., 1]))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.asarray(bg.disk_distance(p, q)).tobytes() == want.tobytes()
+    # Python floats, as the midpoint and the polylines pass them.
+    for (px, py), (qx, qy), w in zip(p.reshape(-1, 2).tolist(), q.reshape(-1, 2).tolist(), want.ravel()):
+        assert _disk_distance(px, py, qx, qy).tobytes() == w.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ends=st.lists(st.tuples(_POINT, _POINT), min_size=1, max_size=3),
+    count=st.integers(2, 70),
+    repeat=st.booleans(),
+)
+def test_polyline_kernel_matches_the_per_edge_formula(ends, count, repeat):
+    pairs = [(complex(*b), complex(*c)) for b, c in ends]
+    if repeat:  # a degenerate edge, once with the end's zero sign flipped
+        b = pairs[0][0]
+        pairs[0] = (b, b)
+        pairs.append((complex(b.real, 0.0), complex(b.real, -0.0)))
+    got = _polylines(pairs, count)
+    assert got.shape == (len(pairs), count, 2)
+    for row, (b, c) in zip(got, pairs):
+        assert row.tobytes() == per_edge_polyline(b, c, count).tobytes()
+        assert bg.geodesic_points(b, c, count).tobytes() == row.tobytes()
