@@ -191,6 +191,7 @@ def _cmd_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     # Built on the first main() call and reused: parse_args keeps no state
     # between calls, and importing the module stays as cheap as before.
+    # Each command's own parser is kept in ``commands``, by name, for main.
     parser = argparse.ArgumentParser(
         prog="buresgeo",
         description="Bures fidelity between qubit states, three ways, cross-verified.",
@@ -218,6 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--tolerance", type=float, default=1e-10)
     ver.set_defaults(handler=_cmd_verify)
 
+    parser.commands = {"fidelity": fid, "triangle": tri, "verify": ver}
     return parser
 
 
@@ -244,8 +246,14 @@ def _join_vector_flags(argv) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    # A known command's arguments go to that command's parser alone, one
+    # parse instead of two, and it reports their errors under its own
+    # usage line; no argv, -h or an unknown command goes to the top level.
+    if argv and argv[0] in parser.commands:
+        parser, argv = parser.commands[argv[0]], argv[1:]
     try:
-        args = _build_parser().parse_args(_join_vector_flags(argv))
+        args = parser.parse_args(_join_vector_flags(argv))
     except SystemExit as exc:
         # argparse has already written its diagnostic; fold --help to 0.
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

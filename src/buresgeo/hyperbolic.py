@@ -182,15 +182,15 @@ def einstein_add(u, v) -> np.ndarray:
     v, _ = _checked_bloch(v)
     if np.any(ru >= 1.0):
         raise ValueError("left operand of einstein_add must lie strictly inside the ball")
-    return _einstein_add(u, v, ru, _dot3(u, v))
+    return _einstein_add(u, v, _gamma(ru), _dot3(u, v))
 
 
-def _einstein_add(u, v, ru, dot):
-    """Einstein-sum kernel from the operands, |u| < 1 and u.v."""
+def _einstein_add(u, v, gu, dot):
+    """Einstein-sum kernel from the operands, the Lorentz factor g_u of u and u.v."""
     denom = 1.0 + dot
     if np.any(denom <= 1e-15):
         raise ValueError("antipodal pure limit: 1 + u.v vanishes")
-    gu = _gamma(ru)
+    gu = np.asarray(gu)  # a float from _triangle, which runs on the norms as floats
     w = (u + v / gu[..., None] + (gu / (1.0 + gu) * dot)[..., None] * u) / denom[..., None]
     # Rounding may land an ulp outside the closed ball; pull back onto it.
     # Division can itself round back above 1, so shave the stragglers by
@@ -443,7 +443,7 @@ def _triangle(u, ru, v, rv) -> HyperbolicTriangle:
     cos_hat = float(dot) / (ru * rv)
     angle_a = math.pi - math.acos(min(1.0, max(-1.0, cos_hat)))
 
-    w = _einstein_add(u, v, ru, dot)
+    w = _einstein_add(u, v, gu, dot)
     rw = float(_norm3(*_xyz(w)))
     # artanh is accurate for moderate |w| but saturates near the rim,
     # where arccosh of the composed Lorentz factor takes over.

@@ -20,7 +20,6 @@ import numpy as np
 from .qubit import (
     _add,
     _bloch_of_entries,
-    _bools,
     _checked_bloch,
     _checked_density,
     _div,
@@ -30,6 +29,7 @@ from .qubit import (
     _give,
     _greater,
     _law_of_cosines,
+    _maximum,
     _mul,
     _norm3,
     _one_minus_square,
@@ -78,23 +78,28 @@ def _clamp_unit(x, what: str, out=None):
     NaN passes through and -0.0 stays -0.0, as under np.clip.  One value
     is clamped with Python floats, whose min and max return their first
     argument on ties and NaN, so the bits equal np.clip's at a fraction
-    of a 0-d ufunc call's cost.  A batch is checked through its extremes:
+    of a 0-d ufunc call's cost.  It comes back as a float if it came as
+    one, from the one-pair float path, and as a numpy float64 otherwise.
+    A batch is checked through its extremes:
     fmin and fmax skip NaN, as the comparisons do, so a batch raises
     exactly when one of its values lies out of range, and the mask that
     finds the first such value, in C order, is built only then.  A
     batch is clipped into ``out``, x's own workspace row, when given.
     """
-    x = np.asarray(x)
-    if x.ndim == 0:
-        value = float(x)
-        if value < -UNIT_SLACK or value > 1.0 + UNIT_SLACK:
-            raise ValueError(f"{what} {value!r} lies outside [0, 1]")
-        return np.float64(min(max(value, 0.0), 1.0))
-    low, high = np.fmin.reduce(x, None, initial=np.inf), np.fmax.reduce(x, None, initial=-np.inf)
-    if low < -UNIT_SLACK or high > 1.0 + UNIT_SLACK:
-        # The first value out of range, alone, raises with the one-value message.
-        _clamp_unit(x[(x < -UNIT_SLACK) | (x > 1.0 + UNIT_SLACK)][0], what)
-    return np.clip(x, 0.0, 1.0, out=out)[()]
+    one = type(x) is float
+    if not one:
+        x = np.asarray(x)
+        if x.ndim:
+            low, high = np.fmin.reduce(x, None, initial=np.inf), np.fmax.reduce(x, None, initial=-np.inf)
+            if low < -UNIT_SLACK or high > 1.0 + UNIT_SLACK:
+                # The first value out of range, alone, raises with the one-value message.
+                _clamp_unit(x[(x < -UNIT_SLACK) | (x > 1.0 + UNIT_SLACK)][0], what)
+            return np.clip(x, 0.0, 1.0, out=out)[()]
+    value = float(x)
+    if value < -UNIT_SLACK or value > 1.0 + UNIT_SLACK:
+        raise ValueError(f"{what} {value!r} lies outside [0, 1]")
+    value = min(max(value, 0.0), 1.0)
+    return value if one else np.float64(value)
 
 
 def _ball_gap(r, ws=None):
@@ -106,7 +111,7 @@ def _ball_gap(r, ws=None):
     """
     gap = _one_minus_square(r, ws)
     (mask,) = _take(ws, 1)
-    value = _where(_greater(r, _EXACT_PURE_NORM, _bools(mask)), 0.0, gap, _own(ws, gap))
+    value = _where(_greater(r, _EXACT_PURE_NORM, mask), 0.0, gap, _own(ws, gap))
     _give(ws, mask)
     return value
 
@@ -193,14 +198,14 @@ def _matrix_fidelity(rho1, rho2, ws=None):
     product = _sandwich(root, rho2, ws)
     _give(ws, *root)
     lo, hi = _eig2(*product, ws)
-    _give(ws, *product)
     # One pair is checked with a Python float comparison, as in _clamp_unit;
     # a batch through its minimum, taken by fmin so a NaN hides no negative.
-    if (float(lo) if lo.ndim == 0 else np.fmin.reduce(lo, None, initial=np.inf)) < -_PSD_SLACK:
+    one = type(lo) is float or lo.ndim == 0
+    if (float(lo) if one else np.fmin.reduce(lo, None, initial=np.inf)) < -_PSD_SLACK:
         raise ValueError(
             f"sqrt(rho1) rho2 sqrt(rho1) has eigenvalue {float(np.min(lo)):.3e} < -1e-10"
         )
-    _give(ws, lo)
+    _give(ws, *product, lo)
     bloch2 = _bloch_of_entries(*rho2, ws)
     r2 = _norm3(*bloch2, ws)
     _give(ws, *bloch2)
@@ -211,10 +216,14 @@ def _matrix_fidelity(rho1, rho2, ws=None):
     lam, mask = _take(ws, 2)
     # det_product / hi where hi > 0, else 0, NaN hi included; where= skips
     # the other rows, so nothing divides by zero.
-    lam_minus = np.divide(det_product, hi, out=_zeros(lam, hi), where=_greater(hi, 0.0, _bools(mask)))
+    if type(hi) is float:
+        lam_minus = det_product / hi if hi > 0.0 else 0.0
+    else:
+        lam_minus = np.divide(det_product, hi, out=_zeros(lam, hi), where=_greater(hi, 0.0, mask))
     # hi can round to a tiny negative where the states are orthogonal and
     # pure; its root is then 0.  maximum, not fmax, so a NaN hi still shows.
-    root_hi = _sqrt(np.maximum(hi, 0.0, out=_own(ws, hi)), _own(ws, hi))
+    row = _own(ws, hi)
+    root_hi = _sqrt(_maximum(hi, 0.0, row), row)
     # t * t, not t ** 2: a numpy scalar takes libm pow for ** 2, which can
     # round unlike the array path, so compare would not reproduce a sweep.
     t = _add(root_hi, _sqrt(lam_minus, lam), f)

@@ -16,6 +16,7 @@ with the sampler's output, call the kernels directly.  Kernels work on
 2x2 matrices as explicit entries, without einsum or matmul.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -76,9 +77,15 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 # and leaves the rows that hold its results to its caller, who puts them
 # back when done with them.  Every numpy call gets its destination row as
 # ``out``; without a workspace that row is None, numpy allocates, and the
-# helpers below apply Python's operators, so a single pair's numpy
-# scalars keep their fast arithmetic.  A ufunc writing into a row rounds
-# exactly as one allocating its result, so the bits do not depend on ws.
+# helpers below apply Python's operators.  One pair runs on Python
+# floats: verify._compare passes each vector as a tuple of its
+# components, which _xyz returns as it is, and each norm as a float.
+# Where an operand is exactly a float, the helpers take math.sqrt, abs
+# and comparisons in place of 0-d ufunc calls; numpy scalars and arrays
+# never are, so the public functions keep their numpy calls, values and
+# types.  + - * / and sqrt round correctly either way, and a ufunc
+# writing into a row rounds as one allocating its result, so the bits
+# depend neither on ws nor on the float path.
 # ---------------------------------------------------------------------------
 
 
@@ -122,26 +129,53 @@ def _div(a, b, out):
 
 
 def _greater(a, b, out):
-    return a > b if out is None else np.greater(a, b, out=out)
+    """a > b, as a boolean mask in the first bytes of the float row out when there is one."""
+    return a > b if out is None else np.greater(a, b, out=_bools(out))
 
 
 # Unary ufuncs take a numpy scalar's fast path only when called without out=.
 def _sqrt(x, out):
-    return np.sqrt(x) if out is None else np.sqrt(x, out=out)
+    if out is not None:
+        return np.sqrt(x, out=out)
+    # A negative float goes to numpy, which returns NaN where math.sqrt raises.
+    return math.sqrt(x) if type(x) is float and not x < 0.0 else np.sqrt(x)
 
 
 def _abs(x, out):
-    return np.abs(x) if out is None else np.abs(x, out=out)
+    if out is not None:
+        return np.abs(x, out=out)
+    return abs(x) if type(x) is float else np.abs(x)
 
 
 def _neg(x, out):
     return -x if out is None else np.negative(x, out=out)
 
 
+# The binary ones below take floats the way numpy's array loops take each
+# element: NaN wins in maximum and minimum and loses in fmax, and a tie,
+# such as -0.0 against 0.0, gives the second operand.
+def _maximum(a, b, out):
+    if out is None and type(a) is float:
+        return a if a > b or a != a else b
+    return np.maximum(a, b, out=out)
+
+
+def _minimum(a, b, out):
+    if out is None and type(a) is float:
+        return a if a < b or a != a else b
+    return np.minimum(a, b, out=out)
+
+
+def _fmax(a, b, out):
+    if out is None and type(a) is float:
+        return a if a > b or b != b else b
+    return np.fmax(a, b, out=out)
+
+
 def _where(cond, x, y, out):
     """np.where(cond, x, y), written over y's own row out when there is one."""
     if out is None:
-        return np.where(cond, x, y)
+        return (x if cond else y) if type(cond) is bool else np.where(cond, x, y)
     np.copyto(out, x, where=cond)
     return out
 
@@ -179,8 +213,12 @@ def _law_of_cosines(dot, ru, rv, ws=None):
 
 
 def _xyz(n):
-    """Components of Bloch vectors of shape (..., 3), each of shape (...)."""
-    return n[..., 0], n[..., 1], n[..., 2]
+    """Components of Bloch vectors of shape (..., 3), each of shape (...).
+
+    One vector given as a tuple of its three Python floats is its own
+    components, and is returned as it is.
+    """
+    return n if type(n) is tuple else (n[..., 0], n[..., 1], n[..., 2])
 
 
 def _norm3(x, y, z, ws=None):
@@ -194,10 +232,11 @@ def _norm3(x, y, z, ws=None):
 
 
 def _dot3(u, v, ws=None):
+    (ux, uy, uz), (vx, vy, vz) = _xyz(u), _xyz(v)
     # Fixed accumulation order, so the result is bit-identical under swap.
     out, tmp = _take(ws, 2)
-    dot = _add(_mul(u[..., 0], v[..., 0], out), _mul(u[..., 1], v[..., 1], tmp), out)
-    dot = _add(dot, _mul(u[..., 2], v[..., 2], tmp), out)
+    dot = _add(_mul(ux, vx, out), _mul(uy, vy, tmp), out)
+    dot = _add(dot, _mul(uz, vz, tmp), out)
     _give(ws, tmp)
     return dot
 
@@ -450,7 +489,7 @@ def _sqrt_entries(x, y, z, r, ws=None):
     p, s, q_re, q_im, alpha_row, scale_row = _take(ws, 6)
     # alpha = (sqrt((1 + r)/2) + sqrt(max((1 - r)/2, 0))) / 2, its roots in p and s.
     plus = _sqrt(_mul(0.5, _add(1.0, r, p), p), p)
-    minus = _sqrt(np.maximum(_mul(0.5, _sub(1.0, r, s), s), 0.0, out=s), s)
+    minus = _sqrt(_maximum(_mul(0.5, _sub(1.0, r, s), s), 0.0, s), s)
     alpha = _mul(0.5, _add(plus, minus, alpha_row), alpha_row)
     four_alpha = _mul(4.0, alpha, scale_row)
     entries = (

@@ -34,8 +34,10 @@ from .qubit import (
     _checked_bloch,
     _density_entries,
     _dot3,
+    _fmax,
     _give,
     _greater,
+    _minimum,
     _norm3,
     _own,
     _sample_streams,
@@ -133,12 +135,15 @@ def _flags(ru: float, rv: float) -> frozenset:
 def _routes(u, v, ru, rv, ws=None):
     """The three route fidelities of each pair and their largest difference.
 
-    Takes trusted Bloch vectors u, v of any leading shape and their norms
-    ru, rv, and returns (f_matrix, f_closed, f_hyperbolic, spread).  This
-    is the one place that decides where the hyperbolic route applies: on
-    pairs with either norm above PURE_NORM it runs on norms clipped to
-    PURE_NORM and u.v set to 0, so it stays finite, and is then masked to
-    NaN; fmax leaves NaN out of the spread.
+    Takes trusted Bloch vectors u, v and their norms ru, rv, and returns
+    (f_matrix, f_closed, f_hyperbolic, spread).  The vectors are arrays
+    of any leading shape with norm arrays, or one pair on the float path:
+    each vector a tuple of three Python floats and each norm a float,
+    which runs the same kernel lines on floats and returns floats with
+    the same bits.  This is the one place that decides where the
+    hyperbolic route applies: on pairs with either norm above PURE_NORM
+    it runs on norms clipped to PURE_NORM and u.v set to 0, so it stays
+    finite, and is then masked to NaN; fmax leaves NaN out of the spread.
 
     With a workspace, the four results are rows popped from ws, and u and
     v are handed over: they must be the (n, 3) transposes of component
@@ -155,22 +160,22 @@ def _routes(u, v, ru, rv, ws=None):
     _give(ws, *rho2)
     high, mask, ru_clip, rv_clip = _take(ws, 4)
     # fmax skips a NaN norm, so this is (ru > PURE_NORM) | (rv > PURE_NORM).
-    pure = _greater(np.fmax(ru, rv, out=high), PURE_NORM, _bools(mask))
+    pure = _greater(_fmax(ru, rv, high), PURE_NORM, mask)
     f_hyp = _hyperbolic_fidelity(
         _where(pure, 0.0, dot, _own(ws, dot)),
-        np.minimum(ru, PURE_NORM, out=ru_clip),
-        np.minimum(rv, PURE_NORM, out=rv_clip),
+        _minimum(ru, PURE_NORM, ru_clip),
+        _minimum(rv, PURE_NORM, rv_clip),
         ws,
     )
     f_hyp = _where(pure, np.nan, f_hyp, _own(ws, f_hyp))
     _give(ws, dot, high, mask, ru_clip, rv_clip)
     spread, apart, tmp = _take(ws, 3)
-    gap = np.fmax(
+    gap = _fmax(
         _abs(_sub(f_hyp, f_matrix, apart), apart),
         _abs(_sub(f_hyp, f_closed, tmp), tmp),
-        out=apart,
+        apart,
     )
-    spread = np.fmax(_abs(_sub(f_matrix, f_closed, spread), spread), gap, out=spread)
+    spread = _fmax(_abs(_sub(f_matrix, f_closed, spread), spread), gap, spread)
     _give(ws, apart, tmp)
     return f_matrix, f_closed, f_hyp, spread
 
@@ -190,17 +195,24 @@ def compare(u, v) -> FidelityReport:
 
 
 def _compare(u, ru, v, rv) -> FidelityReport:
-    """compare of trusted Bloch vectors u, v of shape (3,) and their norms."""
+    """compare of trusted Bloch vectors u, v of shape (3,) and their norms.
+
+    The routes and the trace distance run on Python floats: each vector
+    goes in as the tuple of its components and each norm as a float, so
+    the kernels take no numpy call on the pair, and return the bits that
+    _route_spread gives for the same vectors.
+    """
+    u, v, ru, rv = tuple(u.tolist()), tuple(v.tolist()), float(ru), float(rv)
     f_matrix, f_closed, f_hyp, spread = map(float, _routes(u, v, ru, rv))
     return FidelityReport(
-        u=tuple(u.tolist()),
-        v=tuple(v.tolist()),
+        u=u,
+        v=v,
         f_matrix=f_matrix,
         f_hyperbolic=None if math.isnan(f_hyp) else f_hyp,
         f_closed=f_closed,
         d_trace=float(_trace_distance(u, v)),
         max_pairwise_diff=spread,
-        regime_flags=_flags(float(ru), float(rv)),
+        regime_flags=_flags(ru, rv),
     )
 
 

@@ -1,0 +1,255 @@
+"""The one-pair float path against the sweep's array path, bit for bit.
+
+verify._compare runs the route kernels on Python floats: each vector as a
+tuple of its components, each norm as a float.  The sweep runs the same
+kernel lines on workspace rows.  + - * / and sqrt round correctly both
+ways, so every report value must carry the bits of the sweep's row for
+the same pair, and be exactly of type float.  The public functions keep
+their numpy path: on one vector they return what they return on a batch,
+as numpy types.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import buresgeo as bg
+from buresgeo import measures, verify
+from buresgeo.measures import _EXACT_PURE_NORM, _clamp_unit
+from buresgeo.qubit import (
+    BALL_EPS,
+    PURE_NORM,
+    REGIMES,
+    _abs,
+    _checked_bloch,
+    _fmax,
+    _maximum,
+    _minimum,
+    _norm3,
+    _sqrt,
+    _where,
+    _xyz,
+)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+REPORT_FLOATS = ("f_matrix", "f_closed", "d_trace", "max_pairwise_diff")
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+def _array_path(u: np.ndarray, v: np.ndarray):
+    """Routes, spreads and trace distances of the pairs (u[i], v[i]) as a sweep block runs them.
+
+    The vectors sit in component rows of one workspace, as the sampler
+    leaves them, and the kernels write into its free rows.
+    """
+    n = len(u)
+    rows = np.empty((verify._WORKSPACE_ROWS, n))
+    sides = rows[1:7].reshape(2, 3, n)
+    sides[0], sides[1] = u.T, v.T
+    pool = list(rows[7:])
+    ru, rv = _norm3(*_xyz(sides[0].T), pool), _norm3(*_xyz(sides[1].T), pool)
+    routes = [row.copy() for row in verify._routes(sides[0].T, sides[1].T, ru, rv, pool)]
+
+    sides[0], sides[1] = u.T, v.T
+    spread = verify._route_spread(sides[0].T, sides[1].T, list(rows[7:]))
+    assert np.array_equal(spread.view(np.uint64), routes[3].view(np.uint64))
+    return routes, measures._trace_distance(u, v)
+
+
+def _assert_same_bits(u: np.ndarray, v: np.ndarray) -> None:
+    try:
+        (f_matrix, f_closed, f_hyp, spread), d_trace = _array_path(u, v)
+    except ValueError as exc:
+        # A route's range check fails: the float path must fail alike, pair by pair.
+        if len(u) > 1:
+            for i in range(len(u)):
+                _assert_same_bits(u[i : i + 1], v[i : i + 1])
+            return
+        with pytest.raises(ValueError) as raised:
+            verify._compare(*_checked_bloch(u[0]), *_checked_bloch(v[0]))
+        assert str(raised.value) == str(exc)
+        return
+    for i in range(len(u)):
+        ui, ru = _checked_bloch(u[i])
+        vi, rv = _checked_bloch(v[i])
+        report = verify._compare(ui, ru, vi, rv)
+        for name in REPORT_FLOATS:
+            assert type(getattr(report, name)) is float, name
+        assert all(type(x) is float for x in report.u + report.v)
+        assert report.u == tuple(u[i].tolist()) and report.v == tuple(v[i].tolist())
+        got = (report.f_matrix, report.f_closed, report.max_pairwise_diff, report.d_trace)
+        expected = (f_matrix[i], f_closed[i], spread[i], d_trace[i])
+        assert [_bits(x) for x in got] == [_bits(x) for x in expected], (u[i], v[i])
+        if report.f_hyperbolic is None:
+            assert math.isnan(f_hyp[i])
+        else:
+            assert type(report.f_hyperbolic) is float
+            assert _bits(report.f_hyperbolic) == _bits(f_hyp[i])
+
+
+@pytest.mark.parametrize("regime_v", REGIMES)
+@pytest.mark.parametrize("regime_u", REGIMES)
+def test_compare_equals_the_sweep_rows(regime_u, regime_v):
+    indices = np.arange(200)
+    u = bg.random_bloch_indexed(23, regime_u, indices, stream=0)
+    v = bg.random_bloch_indexed(23, regime_v, indices, stream=1)
+    _assert_same_bits(u, v)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, -0.5, 1.0, PURE_NORM, 1e300, math.inf, -math.inf, math.nan]
+
+
+def _loop(ufunc, *args):
+    """ufunc's array loop on one element of each operand."""
+    return ufunc(*(np.full(17, x) for x in args))[0]
+
+
+def test_float_forms_match_the_array_loops():
+    for a in SPECIAL:
+        for helper, ufunc in ((_maximum, np.maximum), (_minimum, np.minimum), (_fmax, np.fmax)):
+            for b in SPECIAL:
+                got = helper(a, b, None)
+                assert type(got) is float and _bits(got) == _bits(_loop(ufunc, a, b)), (helper, a, b)
+        got = _abs(a, None)
+        assert type(got) is float and _bits(got) == _bits(_loop(np.abs, a))
+        for cond in (True, False):
+            assert _where(cond, a, 0.25, None) is (a if cond else 0.25)
+        if not a < 0.0:
+            got = _sqrt(a, None)
+            assert type(got) is float and _bits(got) == _bits(_loop(np.sqrt, a))
+        else:
+            # math.sqrt would raise; numpy's NaN comes back, as before.
+            with np.errstate(invalid="ignore"):
+                assert math.isnan(_sqrt(a, None))
+
+
+def test_clamp_unit_keeps_the_type_it_is_given():
+    for x in (-1e-12, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-12, math.nan):
+        got, numpy_got = _clamp_unit(x, "f"), _clamp_unit(np.float64(x), "f")
+        assert type(got) is float and type(numpy_got) is np.float64
+        assert _bits(got) == _bits(numpy_got) == _bits(np.clip(x, 0.0, 1.0))
+    for x in (-2e-12, 1.0 + 2e-12, math.inf, -math.inf):
+        with pytest.raises(ValueError) as raised:
+            _clamp_unit(x, "f")
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            _clamp_unit(np.float64(x), "f")
+
+
+def _ulp_neighbours(x: float) -> list:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+EDGE_NORMS = [
+    0.0,
+    5e-324,
+    1e-310,
+    0.5,
+    *_ulp_neighbours(PURE_NORM),
+    *_ulp_neighbours(_EXACT_PURE_NORM),
+    1.0,
+    1.0 + BALL_EPS,
+]
+
+
+@st.composite
+def _vectors(draw) -> np.ndarray:
+    kind = draw(st.sampled_from(["sampled", "axis", "scaled", "subnormal"]))
+    if kind == "sampled":
+        regime = draw(st.sampled_from(REGIMES))
+        index = draw(st.integers(0, 2**62 - 1))
+        return bg.random_bloch_indexed(draw(st.integers(0, 2**64 - 1)), regime, index)
+    if kind == "axis":
+        # Along an axis the norm is the component itself, exactly.
+        n = np.zeros(3)
+        n[draw(st.integers(0, 2))] = draw(st.sampled_from([1.0, -1.0])) * draw(st.sampled_from(EDGE_NORMS))
+        return n
+    if kind == "scaled":
+        direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        length = float(np.linalg.norm(direction))
+        if length < 0.5:
+            direction, length = np.array([0.0, 0.6, 0.8]), 1.0
+        return direction / length * draw(st.sampled_from(EDGE_NORMS[:-1]))
+    tiny = st.floats(-1e-300, 1e-300).filter(lambda x: abs(x) < 2.2250738585072014e-308)
+    return np.array(draw(st.lists(tiny, min_size=3, max_size=3)))
+
+
+@st.composite
+def _pairs(draw):
+    u = draw(_vectors())
+    kind = draw(st.sampled_from(["any", "identical", "antipodal"]))
+    v = draw(_vectors()) if kind == "any" else u.copy() if kind == "identical" else -u
+    return u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(_pairs(), min_size=1, max_size=6))
+def test_compare_equals_the_sweep_rows_on_edges(pairs):
+    u = np.array([p[0] for p in pairs])
+    v = np.array([p[1] for p in pairs])
+    _assert_same_bits(u, v)
+
+
+def test_edge_set_is_inside_the_ball():
+    # The edge norms are valid inputs: compare accepts every one of them.
+    for r in EDGE_NORMS:
+        assert bg.compare([r, 0.0, 0.0], [0.0, 0.0, -r]).max_pairwise_diff <= 1e-10
+
+
+def test_both_paths_raise_alike_past_the_sphere():
+    # Identical vectors just past the sphere, still inside BALL_EPS: the
+    # matrix route's fidelity leaves [0, 1] by more than its slack, and
+    # both paths raise the same error.
+    u = np.array([[1.0 + BALL_EPS, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="bures fidelity 1.0000000000015001 lies outside"):
+        _array_path(u, u)
+    _assert_same_bits(u, u)
+
+
+def _public_results(u, v):
+    rho_u, rho_v = bg.density_from_bloch(u), bg.density_from_bloch(v)
+    results = {
+        "bures_fidelity_closed": bg.bures_fidelity_closed(u, v),
+        "bures_fidelity_matrix": bg.bures_fidelity_matrix(rho_u, rho_v),
+        "trace_distance_bloch": bg.trace_distance_bloch(u, v),
+        "trace_distance_matrix": bg.trace_distance_matrix(rho_u, rho_v),
+        "bloch_norm": bg.bloch_norm(u),
+        "sqrt_density": bg.sqrt_density(rho_u),
+        "density_from_bloch": rho_u,
+    }
+    if bg.bloch_norm(u).max() <= PURE_NORM and bg.bloch_norm(v).max() <= PURE_NORM:
+        roots = bg.lambda_roots(u, v)
+        results.update(
+            fidelity_hyperbolic=bg.fidelity_hyperbolic(u, v),
+            gamma_composition=bg.gamma_composition(u, v),
+            lambda_plus=roots.lambda_plus,
+            lambda_minus=roots.lambda_minus,
+            einstein_add=bg.einstein_add(u, v),
+        )
+    return results
+
+
+@pytest.mark.parametrize("regime_v", REGIMES)
+@pytest.mark.parametrize("regime_u", REGIMES)
+def test_public_functions_keep_their_numpy_types_on_one_vector(regime_u, regime_v):
+    indices = np.arange(40)
+    u = bg.random_bloch_indexed(5, regime_u, indices, stream=0)
+    v = bg.random_bloch_indexed(5, regime_v, indices, stream=1)
+    batch = _public_results(u, v)
+    for i in range(len(indices)):
+        one = _public_results(u[i], v[i])
+        assert one.keys() == batch.keys()
+        for name, value in one.items():
+            row = batch[name][i]
+            if np.ndim(row) == 0:
+                assert type(value) is np.float64, name
+            else:
+                assert type(value) is np.ndarray and value.dtype == row.dtype, name
+            assert np.array_equal(np.asarray(value).view(np.uint64), np.asarray(row).view(np.uint64)), name
