@@ -39,6 +39,16 @@ class _UsageError(Exception):
 _POINTS = {2: "[%.17g,%.17g]", 3: "[%.17g,%.17g,%.17g]"}
 
 
+class _Json(str):
+    """Text already written as JSON, which _emit passes through as it is."""
+
+
+def _polyline_json(line) -> _Json:
+    """A (count, 2) float array of points as _emit writes its .tolist(), in one format call."""
+    text = "[%s]" % ",".join([_POINTS[2]] * len(line)) % tuple(line.reshape(-1).tolist())
+    return _Json(text if "n" not in text else _emit(line.tolist()))  # nan, inf: null
+
+
 def _emit(value) -> str:
     """Serialize the envelope deterministically (insertion-ordered keys).
 
@@ -46,7 +56,8 @@ def _emit(value) -> str:
     are written with 17 significant digits, which read back to the same
     64-bit float, and as null where they are not finite, which JSON cannot
     hold.  A point, a list or tuple of 2 or 3 floats such as a polyline
-    point or a Bloch vector, takes one format call.
+    point or a Bloch vector, takes one format call; a whole polyline is
+    passed as _polyline_json's text.
     """
     if isinstance(value, float):
         text = "%.17g" % value
@@ -63,7 +74,8 @@ def _emit(value) -> str:
                 return text
         return "[" + ",".join([_emit(item) for item in value]) + "]"
     if isinstance(value, str):
-        return encode_basestring_ascii(value)  # what json.dumps writes for a str
+        # _Json text as it is; any other str as json.dumps writes it.
+        return value if type(value) is _Json else encode_basestring_ascii(value)
     return json.dumps(value)
 
 
@@ -140,14 +152,14 @@ def _cmd_triangle(args) -> int:
     except ValueError as exc:
         raise _UsageError(f"--samples-per-edge: {exc}") from None
     ends = [(complex(*getattr(tri, start)), complex(*getattr(tri, end))) for _, start, end in _EDGES]
-    lines = _polylines(ends, count).tolist()
+    lines = _polylines(ends, count)
 
     if args.format == "csv":
-        print(_csv(lines))
+        print(_csv(lines.tolist()))
         return EXIT_OK
 
     result = _fields(tri)
-    result["polylines"] = {name: line for (name, _, _), line in zip(_EDGES, lines)}
+    result["polylines"] = {name: _polyline_json(line) for (name, _, _), line in zip(_EDGES, lines)}
     inputs = {
         "u": u.tolist(),
         "v": v.tolist(),
@@ -159,10 +171,6 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 0 <= args.seed < 2**64:
-        raise _UsageError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
-    if args.trials < 1:
-        raise _UsageError("--trials must be at least 1")
     if not args.tolerance > 0.0:
         raise _UsageError("--tolerance must be positive")
     try:

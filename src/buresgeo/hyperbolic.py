@@ -37,6 +37,7 @@ from .qubit import (
     _norm3,
     _numbers,
     _own,
+    _pull_back,
     _quiet_norm,
     _xyz,
 )
@@ -182,26 +183,20 @@ def einstein_add(u, v) -> np.ndarray:
     v, _ = _checked_bloch(v)
     if np.any(ru >= 1.0):
         raise ValueError("left operand of einstein_add must lie strictly inside the ball")
-    return _einstein_add(u, v, _gamma(ru), _dot3(u, v))
+    return _einstein_add(u, v, _gamma(ru), _dot3(u, v))[0]
 
 
 def _einstein_add(u, v, gu, dot):
-    """Einstein-sum kernel from the operands, the Lorentz factor g_u of u and u.v."""
+    """Einstein-sum kernel from the operands, the Lorentz factor g_u of u and u.v; returns (w, |w|)."""
     denom = 1.0 + dot
     if np.any(denom <= 1e-15):
         raise ValueError("antipodal pure limit: 1 + u.v vanishes")
     gu = np.asarray(gu)  # a float from _triangle, which runs on the norms as floats
     w = (u + v / gu[..., None] + (gu / (1.0 + gu) * dot)[..., None] * u) / denom[..., None]
-    # Rounding may land an ulp outside the closed ball; pull back onto it.
-    # Division can itself round back above 1, so shave the stragglers by
-    # 1, 2, 4 and 8 ulps in turn: 15 ulps exceed any rounding in the norm.
+    # Rounding may land an ulp outside the closed ball; pull back into it.
     rw = _norm3(*_xyz(w))
     over = rw > 1.0
-    if np.any(over):
-        w = np.where(over[..., None], w / rw[..., None], w)
-        for ulps in (1.0, 2.0, 4.0, 8.0):
-            w = np.where((_norm3(*_xyz(w)) > 1.0)[..., None], w * (1.0 - ulps * 2.0**-52), w)
-    return w
+    return _pull_back(w, rw, over) if over.any() else (w, rw)
 
 
 def gamma_composition(u, v):
@@ -306,16 +301,20 @@ def _geodesic_midpoint(b: complex, c: complex) -> complex:
     return _mobius_from_origin(b, math.tanh(d / 4.0) * (t / rt))
 
 
-def _disk_point(p) -> complex:
-    """p, a 2-vector or a complex number, as a complex number strictly inside the unit disk."""
-    if not isinstance(p, complex):
-        xy = _numbers(p)
-        if xy.shape != (2,):
-            raise ValueError(f"a Poincare-disk point has 2 coordinates, got shape {xy.shape}")
-        p = complex(*xy)
-    if not 1.0 - (p.real * p.real + p.imag * p.imag) > 0.0:  # False on NaN
-        raise ValueError(f"Poincare-disk point {p!r} does not lie strictly inside the unit disk")
-    return p
+def _disk_points(p) -> np.ndarray:
+    """p, points of shape (..., 2) or a complex number, as a float array of points strictly inside the unit disk.
+
+    The package's one check of a Poincare-disk point: points on or
+    outside the rim, or not finite, raise ValueError.
+    """
+    xy = _numbers((p.real, p.imag) if isinstance(p, complex) else p)
+    if xy.shape[-1:] != (2,):
+        raise ValueError(f"a Poincare-disk point has 2 coordinates, got shape {xy.shape}")
+    x, y = xy[..., 0], xy[..., 1]
+    with np.errstate(over="ignore"):  # a huge coordinate's depth overflows to -inf
+        if not (1.0 - (x * x + y * y) > 0.0).all():  # False on NaN
+            raise ValueError("Poincare-disk points must lie strictly inside the unit disk")
+    return xy
 
 
 def _polyline_count(count) -> int:
@@ -364,7 +363,10 @@ def geodesic_points(p, q, count: int) -> np.ndarray:
     calls for all three edges at once.
     """
     count = _polyline_count(count)
-    return _polylines(((_disk_point(p), _disk_point(q)),), count)[0]
+    p, q = _disk_points(p), _disk_points(q)
+    if p.shape != (2,) or q.shape != (2,):
+        raise ValueError("geodesic_points takes one point p and one point q")
+    return _polylines(((complex(*p), complex(*q)),), count)[0]
 
 
 def disk_distance(p, q) -> float:
@@ -372,18 +374,11 @@ def disk_distance(p, q) -> float:
 
     Uses arccosh(1 + 2|p-q|^2 / ((1-|p|^2)(1-|q|^2))), which stays
     accurate out to the rim where the Mobius-quotient form cancels.
-    Points on or outside the rim, or not finite, raise ValueError.
+    p and q are points of shape (..., 2) or complex numbers; points on
+    or outside the rim, or not finite, raise ValueError.
     """
-    p = _numbers(p)
-    q = _numbers(q)
-    if p.shape[-1:] != (2,) or q.shape[-1:] != (2,):
-        raise ValueError(f"Poincare-disk points have 2 coordinates, got shapes {p.shape} and {q.shape}")
-    px, py, qx, qy = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
-    with np.errstate(over="ignore"):  # a huge coordinate's depth overflows to -inf
-        inside = (1.0 - (px * px + py * py) > 0.0) & (1.0 - (qx * qx + qy * qy) > 0.0)
-    if not inside.all():  # False on NaN
-        raise ValueError("Poincare-disk points must lie strictly inside the unit disk")
-    return _disk_distance(px, py, qx, qy)
+    p, q = _disk_points(p), _disk_points(q)
+    return _disk_distance(p[..., 0], p[..., 1], q[..., 0], q[..., 1])
 
 
 def _disk_distance(px, py, qx, qy):
@@ -443,8 +438,7 @@ def _triangle(u, ru, v, rv) -> HyperbolicTriangle:
     cos_hat = float(dot) / (ru * rv)
     angle_a = math.pi - math.acos(min(1.0, max(-1.0, cos_hat)))
 
-    w = _einstein_add(u, v, gu, dot)
-    rw = float(_norm3(*_xyz(w)))
+    rw = float(_einstein_add(u, v, gu, dot)[1])
     # artanh is accurate for moderate |w| but saturates near the rim,
     # where arccosh of the composed Lorentz factor takes over.
     phi_w = math.atanh(rw) if rw <= 0.9 else math.acosh(max(gw, 1.0))

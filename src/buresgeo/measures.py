@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qubit import (
+    _SPHERE_BAND,
     _add,
     _bloch_of_entries,
     _checked_bloch,
@@ -62,7 +63,7 @@ _PSD_SLACK = 1e-10
 # ulps of zero, and the square root of that noise (~1e-8) would dwarf the
 # route-agreement budget.  Both fidelity routes therefore treat the
 # radical term of such states as exactly zero.
-_EXACT_PURE_NORM = 1.0 - 1e-13
+_EXACT_PURE_NORM = 1.0 - _SPHERE_BAND
 
 
 class LambdaRoots(NamedTuple):
@@ -277,7 +278,7 @@ def lambda_roots(u, v) -> LambdaRoots:
     if np.any(ru >= 1.0) or np.any(rv >= 1.0):
         raise ValueError("pure input: the root formula needs finite rapidities")
     gu, gv, gw = _law_of_cosines(_dot3(u, v), ru, rv)
-    sinh_w = np.sqrt(np.maximum((gw - 1.0) * (gw + 1.0), 0.0))
+    sinh_w = np.sqrt(np.maximum(-_one_minus_square(gw), 0.0))
     exp_plus = gw + sinh_w
     denom = 4.0 * gu * gv
     return LambdaRoots((exp_plus / denom)[()], (1.0 / (exp_plus * denom))[()])

@@ -43,13 +43,21 @@ __all__ = [
 # Largest amount by which |n| may exceed 1 before a vector is rejected.
 BALL_EPS = 1e-12
 
+# Norms within this of 1 count as on the sphere.  Inside it, both
+# fidelity routes treat 1 - |n|^2 as exactly 0 (measures._EXACT_PURE_NORM).
+# Outside it, up to 1 + BALL_EPS, _checked_bloch pulls the vector back
+# into the ball, where the matrix route would otherwise leave [0, 1] by
+# more than its slack; the sampler's pure states, 1 or 2 ulps above 1,
+# keep their bits.
+_SPHERE_BAND = 1e-13
+
 # Norms above this are routed as pure: the rapidity artanh|n| is treated
 # as too large for the hyperbolic fidelity route and the triangle, and
 # verify._routes masks the hyperbolic route out, so compare and sweep
 # compare only the matrix and closed routes there.
 PURE_NORM = 1.0 - 1e-9
 
-# Largest entry of |m - m^dag| that _check_hermitian accepts.
+# Largest entry of |m - m^dag| that _checked_matrix accepts.
 # _HERMITIAN_TOL: density matrices, whose kernels drop the anti-Hermitian
 # part; 1e-12 like the trace and positivity checks.
 # _EIG_HERMITIAN_TOL: the input of hermitian_eigenvalues, which need not
@@ -266,22 +274,35 @@ def _float3(n) -> np.ndarray:
 
 def _quiet_norm(n):
     """_norm3 of the float vectors n; inf, without numpy's warning, where the squares overflow."""
-    if np.abs(n).max(initial=0.0) <= 1.0 + BALL_EPS:  # False on NaN
+    with np.errstate(over="ignore"):  # components past about 1e154
         return _norm3(*_xyz(n))
-    # Components past about 1e154 overflow the squares.  Kept off the
-    # common path, where entering errstate would cost more than the norm.
-    with np.errstate(over="ignore"):
-        return _norm3(*_xyz(n))
+
+
+def _pull_back(n, r, over):
+    """(n, |n|) with the vectors n of norms r pulled back into the closed unit ball where over.
+
+    The package's one pull-back.  Each such vector is divided by its
+    norm; division can itself round back above 1, so the stragglers are
+    shaved by 1, 2, 4 and 8 ulps in turn: 15 ulps exceed any rounding in
+    the norm.  The other vectors keep their bits.
+    """
+    n = np.where(over[..., None], n / np.where(over, r, 1.0)[..., None], n)
+    for ulps in (1.0, 2.0, 4.0, 8.0):
+        shave = over & (_norm3(*_xyz(n)) > 1.0)
+        n = np.where(shave[..., None], n * (1.0 - ulps * 2.0**-52), n)
+    return n, _norm3(*_xyz(n))
 
 
 def _checked_bloch(n):
     """Validate n as in as_bloch_vector; return (n, |n|), the norm computed once."""
     n = _float3(n)
     r = _quiet_norm(n)
-    if not (r <= 1.0 + BALL_EPS).all():  # also on NaN
-        if not np.isfinite(n).all():
-            raise ValueError("Bloch vector has non-finite components")
-        raise ValueError(f"Bloch vector norm {float(np.max(r))!r} lies outside the unit ball")
+    if not (r <= 1.0 + _SPHERE_BAND).all():  # also on NaN
+        if not (r <= 1.0 + BALL_EPS).all():
+            if not np.isfinite(n).all():
+                raise ValueError("Bloch vector has non-finite components")
+            raise ValueError(f"Bloch vector norm {float(np.max(r))!r} lies outside the unit ball")
+        n, r = _pull_back(n, r, r > 1.0 + _SPHERE_BAND)
     return n, r
 
 
@@ -289,6 +310,9 @@ def as_bloch_vector(n) -> np.ndarray:
     """Validate and return n as a float array of shape (..., 3).
 
     Rejects non-finite components and norms larger than 1 + BALL_EPS.
+    A vector whose norm exceeds 1 by more than 1e-13 is pulled back into
+    the closed ball: divided by its norm, then shaved by a few ulps if
+    that rounds above 1.
     """
     return _checked_bloch(n)[0]
 
@@ -399,36 +423,30 @@ def density_from_bloch(n) -> np.ndarray:
 
 def bloch_from_density(rho) -> np.ndarray:
     """Recover the Bloch vector, component k = Re trace(rho sigma_k)."""
-    return _bloch_of(validate_density_matrix(rho))
+    return np.stack(_bloch_of_entries(*_checked_density(rho)[1]), axis=-1)
 
 
-def _bloch_of(rho) -> np.ndarray:
-    return np.stack(_bloch_of_entries(*_entries(rho)), axis=-1)
-
-
-def _check_finite(m, what: str) -> None:
-    """Raise unless every entry of the complex matrices m is finite."""
+def _checked_matrix(m, tol: float, what: str) -> np.ndarray:
+    """m as complex 2x2 matrices with finite entries and |m - m^dag| at most tol; else ValueError."""
+    m = _numbers(m, complex)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"{what} must be 2x2, got shape {m.shape}")
+    # First: a NaN or infinite entry makes the skew NaN, which no
+    # tolerance comparison rejects.
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
-
-
-def _check_hermitian(m, tol: float, what: str) -> None:
-    """Raise unless every entry of |m - m^dag| is at most tol."""
     # Opposite entries near the largest double overflow the difference to
     # inf, which the comparison rejects; the warning would only repeat it.
     with np.errstate(over="ignore"):
         skew = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
     if skew > tol:
         raise ValueError(f"{what} is not Hermitian (max |m - m^dag| = {float(skew):.3e})")
+    return m
 
 
 def _checked_density(rho):
     """Validate rho as in validate_density_matrix; return (rho, its entries)."""
-    rho = _numbers(rho, complex)
-    if rho.shape[-2:] != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-    _check_finite(rho, "density matrix")
-    _check_hermitian(rho, _HERMITIAN_TOL, "density matrix")
+    rho = _checked_matrix(rho, _HERMITIAN_TOL, "density matrix")
     # Entries near the largest double overflow the trace, the entries or
     # the eigenvalues to inf, which the checks reject; the warning would
     # only repeat it.
@@ -469,13 +487,7 @@ def hermitian_eigenvalues(m):
     Returns:
         Tuple (lambda_minus, lambda_plus) with lambda_minus <= lambda_plus.
     """
-    m = _numbers(m, complex)
-    if m.shape[-2:] != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    # First: a NaN or infinite entry makes the Hermitian skew NaN, which
-    # no tolerance comparison rejects.
-    _check_finite(m, "matrix")
-    _check_hermitian(m, _EIG_HERMITIAN_TOL, "matrix")
+    m = _checked_matrix(m, _EIG_HERMITIAN_TOL, "matrix")
     upper = m[..., 0, 1]
     with np.errstate(over="ignore"):  # checked below
         lo, hi = _eig2_scaled(m[..., 0, 0].real, m[..., 1, 1].real, upper.real, upper.imag)
@@ -563,13 +575,15 @@ def _mix64(x, tmp=None):
     return x
 
 
-def _splitmix_at(key, position):
-    """splitmix64 output under one key word at the given counter position(s), vectorized."""
-    with np.errstate(over="ignore"):
-        x = np.asarray(position, dtype=np.uint64) + np.uint64(1)
-        x *= _SM_GAMMA
-        x += np.asarray(key, dtype=np.uint64)
-        return _mix64(x)
+def _splitmix(keys, counter, out=None, tmp=None):
+    """splitmix64 output under the key words keys at the uint64 array counter = position + 1.
+
+    The package's one splitmix64: counter times the golden gamma, in
+    place, plus keys, into out, then mixed in place with tmp as _mix64's
+    scratch.  uint64 arrays wrap around silently, as splitmix64 wants.
+    """
+    counter *= _SM_GAMMA
+    return _mix64(np.add(counter, keys, out=out), tmp)
 
 
 # Largest index plus one: each index owns the four counter positions
@@ -585,6 +599,13 @@ def _check_int(value, name: str, lo: int, hi: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value < hi:
         raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
     return int(value)
+
+
+def _check_regime(regime) -> str:
+    """Return regime if it is one of REGIMES; anything else raises ValueError."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    return regime
 
 
 def _direction(u_polar, u_azimuth, ws=None):
@@ -645,8 +666,8 @@ def _radius(regime: str, u) -> None:
 
 def _stream_keys(seed: int, streams) -> np.ndarray:
     """The key words of the given streams of seed, as a (len(streams), 1, 1) uint64 array."""
-    keys = _splitmix_at(_splitmix_at(np.uint64(seed), np.uint64(0)), np.array(streams, dtype=np.uint64))
-    return keys[:, None, None]
+    seed_key = _splitmix(np.uint64(seed), np.ones(1, dtype=np.uint64))
+    return _splitmix(seed_key, np.array(streams, dtype=np.uint64) + np.uint64(1))[:, None, None]
 
 
 def _sample_streams(keys, regimes, indices, ws=None) -> np.ndarray:
@@ -679,8 +700,7 @@ def _sample_streams(keys, regimes, indices, ws=None) -> np.ndarray:
     # 4 i goes through the words' first row, the counter through the output's.
     scaled = np.multiply(indices, np.uint64(4), out=None if ws is None else words[0, 0])
     counter = np.add(scaled, _WORD_COUNTERS, out=None if ws is None else mixed[0])
-    counter *= _SM_GAMMA
-    words = _mix64(np.add(counter, keys, out=words), mixed)
+    words = _splitmix(keys, counter, words, mixed)
     words >>= np.uint64(11)
     # Cast first, exactly (the words are below 2**53), then scale in place:
     # multiplying the uint64 words by a float would cast through buffers
@@ -723,8 +743,7 @@ def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndar
     """
     seed = _check_int(seed, "seed", 0, 2**64)
     stream = _check_int(stream, "stream", 0, 2**64)
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    _check_regime(regime)
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer) or np.any(idx < 0) or np.any(idx >= _INDEX_LIMIT):
         raise ValueError("indices must be integers in [0, 2**62)")

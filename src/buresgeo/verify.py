@@ -27,10 +27,10 @@ from .qubit import (
     NEAR_MIXED_BAND,
     NEAR_PURE_BAND,
     PURE_NORM,
-    REGIMES,
     _abs,
     _bools,
     _check_int,
+    _check_regime,
     _checked_bloch,
     _density_entries,
     _dot3,
@@ -502,10 +502,7 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
     start = time.perf_counter()
     seed = _check_int(seed, "seed", 0, 2**64)
     trials = _check_int(trials, "trials", 1, _MAX_TRIALS + 1)
-    regimes = (regime_u, regime_v)
-    for regime in regimes:
-        if regime not in REGIMES:
-            raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    regimes = (_check_regime(regime_u), _check_regime(regime_v))
 
     keys = _stream_keys(seed, (0, 1))
     blocks = -(-trials // _BLOCK)

@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import buresgeo as bg
 from buresgeo import cli
@@ -298,7 +300,7 @@ class TestVerifyCommand:
 
     def test_rejects_zero_trials(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--trials", "0")
-        assert code == 2 and out == "" and "--trials" in err
+        assert code == 2 and out == "" and "trials must be an integer in [1, " in err
 
     def test_rejects_unknown_regime(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--regime-u", "thermal")
@@ -505,6 +507,14 @@ class TestFormattingOracle:
         parse(cli._emit({"n": [[inf, nan], [kind(0.5), kind(0.25)]]}))
         assert cli._csv([[(nan, inf)], [], [(-inf, kind(0.5))]]) == "edge,index,x,y\nAB,0,nan,inf\nBC,0,-inf,0.5"
 
+    def test_polyline_text_matches_the_recursive_writer(self):
+        values = [*SPECIAL_FLOATS, math.nan, math.inf, -math.inf]
+        finite = [[x, y] for x in SPECIAL_FLOATS for y in SPECIAL_FLOATS]
+        assert cli._polyline_json(np.array(finite)) == oracle_emit(finite) == cli._emit(finite)
+        for line in ([[x, y] for x in values for y in values], [[0.5, math.nan]], [[-math.inf, 0.25]]):
+            assert cli._polyline_json(np.array(line)) == cli._emit(line)
+            assert "n" not in cli._polyline_json(np.array(line)).replace("null", "")
+
 
 class TestCallCounts:
     """Python-level calls into the package's own functions for one request.
@@ -514,7 +524,7 @@ class TestCallCounts:
     3.10 to 3.12 agree; 3.12 inlines comprehensions and may count fewer.
     The bounds are the counts the request makes: validation once, the
     scalar disk distance, one polyline kernel and one format call per
-    point.
+    polyline.
     """
 
     PACKAGE = os.path.dirname(cli.__file__) + os.sep
@@ -542,7 +552,7 @@ class TestCallCounts:
         assert self.calls("fidelity", self.U, self.V) <= 345
 
     def test_triangle_json_request(self):
-        assert self.calls("triangle", self.U, self.V, "--samples-per-edge", "64") <= 336
+        assert self.calls("triangle", self.U, self.V, "--samples-per-edge", "64") <= 134
 
 
 # ---------------------------------------------------------------------------
@@ -676,3 +686,97 @@ class TestDispatch:
         for argv in ((), ("-h",), ("bogus",)):
             assert run_cli(capsys, *argv)[0] in (0, 2)
         assert calls.count("parse_args") == 3
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: whatever the arguments, a request exits 0, 1 or 2, prints no
+# traceback, and writes nothing or exactly one envelope to stdout.
+# ---------------------------------------------------------------------------
+
+def _either(good, bad):
+    """Values a flag accepts, three times in four, or values it refuses."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(good if i else bad))
+
+
+_FUZZ_REALS = st.one_of(
+    _either(["0", "-0.5", "1", "-1"], ["1.000000000001", "2", "nan", "inf", "-inf", "1e308", "-5e-324", "x", ""]),
+    st.floats(-1.0, 1.0).map(repr),
+)
+# Norms inside the ball, at and past the sphere within BALL_EPS, and beyond it.
+_FUZZ_NORMS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1e-13, bg.PURE_NORM, 1.0, 1.0 + 1e-13, 1.0 + 5e-13, 1.0 + bg.BALL_EPS, 1.0 + 1e-11]),
+)
+
+
+@st.composite
+def _fuzz_vector(draw) -> str:
+    if draw(st.integers(0, 3)):
+        d = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        d = d / bg.bloch_norm(d) if bg.bloch_norm(d) > 0.1 else np.array([0.0, 0.6, 0.8])
+        return ",".join(map(repr, (draw(_FUZZ_NORMS) * d).tolist()))
+    return ",".join(draw(st.lists(_FUZZ_REALS, min_size=1, max_size=4)))
+
+
+_FUZZ_VALUES = {
+    "--u": _fuzz_vector(),
+    "--v": _fuzz_vector(),
+    "--format": _either(["json", "csv"], ["xml"]),
+    "--samples-per-edge": _either(["2", "3", "17"], ["-1", "0", "1", str(2**20 + 1), str(2**40), "9" * 30, "1.5", "x"]),
+    "--seed": _either(["0", "-0", "42", str(2**64 - 1)], ["-1", str(2**64), "9" * 30, "1.5", "x"]),
+    # Trials stay small, or lie past the sweep's cap, so no sweep runs long.
+    "--trials": _either(["1", "2", "50", "999"], ["-1", "0", str(2**32 + 1), str(2**64), "9" * 40, "1e3", "x"]),
+    "--regime-u": _either(bg.REGIMES, ["thermal", ""]),
+    "--regime-v": _either(bg.REGIMES, ["thermal", ""]),
+    "--tolerance": _either(["1e-10", "1"], ["1e-300", "0", "-1", "nan", "inf", "x"]),
+}
+# No 'h' in junk, so no token is -h or an abbreviation of --help.
+_FUZZ_JUNK = st.one_of(
+    st.sampled_from(["--bogus", "-", "--", "=", "--u=", "--trials", "--v", "fidelity", "verify"]),
+    st.text(alphabet="ab,.-=0123456789en", max_size=6),
+)
+
+
+_FUZZ_FLAGS = {
+    "fidelity": ["--u", "--v"],
+    "triangle": ["--u", "--v", "--samples-per-edge", "--format"],
+    "verify": ["--seed", "--trials", "--regime-u", "--regime-v", "--tolerance"],
+}
+
+
+@st.composite
+def _fuzz_argv(draw) -> list:
+    """A command, mostly its own flags with values, now and then a foreign flag or a junk token."""
+    command = draw(st.sampled_from([*_FUZZ_FLAGS, "bogus"]))
+    flags = [flag for flag in _FUZZ_FLAGS.get(command, []) if draw(st.integers(0, 19))]
+    if not draw(st.integers(0, 7)):
+        flags += draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), min_size=1, max_size=2))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        value = draw(_FUZZ_VALUES[flag])
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if not draw(st.integers(0, 7)):
+        for token in draw(st.lists(_FUZZ_JUNK, min_size=1, max_size=2)):
+            argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+_CSV_ROW = re.compile(r"(AB|AC|BC),\d+,[^,\s]+,[^,\s]+")
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_fuzz_argv())
+def test_argv_fuzz_gives_an_exit_code_and_at_most_one_envelope(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an exception here is the traceback a user would see
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert (out == "") == (code == 2)
+    if code == 1:
+        assert err.startswith(("theorem violation", "verification failed"))
+    if out.startswith("edge,index,x,y\n"):
+        assert all(_CSV_ROW.fullmatch(row) for row in out.splitlines()[1:])
+    elif out:
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert parse(out)["command"] == argv[0]

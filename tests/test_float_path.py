@@ -9,16 +9,19 @@ their numpy path: on one vector they return what they return on a batch,
 as numpy types.
 """
 
+import contextlib
+import io
+import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
-from buresgeo import measures, verify
+from buresgeo import cli, measures, verify
 from buresgeo.measures import _EXACT_PURE_NORM, _clamp_unit
 from buresgeo.qubit import (
     BALL_EPS,
@@ -192,8 +195,10 @@ def _pairs(draw):
 @settings(max_examples=300, deadline=None)
 @given(pairs=st.lists(_pairs(), min_size=1, max_size=6))
 def test_compare_equals_the_sweep_rows_on_edges(pairs):
-    u = np.array([p[0] for p in pairs])
-    v = np.array([p[1] for p in pairs])
+    # The sweep's kernels trust their vectors, so they get the validated
+    # ones: past 1 + 1e-13, validation pulls a vector back into the ball.
+    u = _checked_bloch(np.array([p[0] for p in pairs]))[0]
+    v = _checked_bloch(np.array([p[1] for p in pairs]))[0]
     _assert_same_bits(u, v)
 
 
@@ -203,14 +208,49 @@ def test_edge_set_is_inside_the_ball():
         assert bg.compare([r, 0.0, 0.0], [0.0, 0.0, -r]).max_pairwise_diff <= 1e-10
 
 
-def test_both_paths_raise_alike_past_the_sphere():
-    # Identical vectors just past the sphere, still inside BALL_EPS: the
-    # matrix route's fidelity leaves [0, 1] by more than its slack, and
-    # both paths raise the same error.
-    u = np.array([[1.0 + BALL_EPS, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="bures fidelity 1.0000000000015001 lies outside"):
-        _array_path(u, u)
+def test_both_paths_answer_past_the_sphere():
+    # Identical vectors just past the sphere, still inside BALL_EPS: left
+    # as they are, the matrix route's fidelity would leave [0, 1] by more
+    # than its slack (1.0000000000015001).  Validation pulls them back
+    # onto the sphere, and both paths answer 1, bit for bit.
+    u, r = _checked_bloch(np.array([[1.0 + BALL_EPS, 0.0, 0.0]]))
+    assert u.tolist() == [[1.0, 0.0, 0.0]] and r.tolist() == [1.0]
+    (f_matrix, f_closed, _, spread), _ = _array_path(u, u)
+    assert f_matrix.tolist() == f_closed.tolist() == [1.0] and spread.tolist() == [0.0]
     _assert_same_bits(u, u)
+
+
+_PAST_SPHERE_RADII = st.one_of(
+    st.floats(PURE_NORM, 1.0 + BALL_EPS),
+    st.sampled_from([1.0, *_ulp_neighbours(1.0 + 1e-13), 1.0 + 6.7e-13, 1.0 + BALL_EPS]),
+)
+_DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(lambda d: bg.bloch_norm(d) > 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ru=_PAST_SPHERE_RADII,
+    rv=_PAST_SPHERE_RADII,
+    du=_DIRECTIONS,
+    dv=_DIRECTIONS,
+    identical=st.booleans(),
+)
+def test_every_route_answers_up_to_ball_eps_past_the_sphere(ru, rv, du, dv, identical):
+    u = ru * du / bg.bloch_norm(du)
+    v = u.copy() if identical else rv * dv / bg.bloch_norm(dv)
+    # Scaling can round a norm past 1 + BALL_EPS, which validation rejects.
+    assume(bg.bloch_norm(u) <= 1.0 + BALL_EPS and bg.bloch_norm(v) <= 1.0 + BALL_EPS)
+    report = bg.compare(u, v)
+    assert 0.0 <= report.f_matrix <= 1.0 and 0.0 <= report.f_closed <= 1.0
+    assert report.max_pairwise_diff <= 1e-10
+    f_matrix = bg.bures_fidelity_matrix(bg.density_from_bloch(u), bg.density_from_bloch(v))
+    assert 0.0 <= f_matrix <= 1.0 and abs(f_matrix - report.f_closed) <= 1e-10
+    argv = ["fidelity"] + [f"--{name}=" + ",".join(map(repr, n.tolist())) for name, n in (("u", u), ("v", v))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    result = json.loads(out.getvalue())["result"]
+    assert code == 0 and 0.0 <= result["f_matrix"] <= 1.0 and result["max_pairwise_diff"] <= 1e-10
 
 
 def _public_results(u, v):

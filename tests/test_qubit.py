@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
-from buresgeo.qubit import _direction, _sample_streams, _splitmix_at, _stream_keys
+from buresgeo.qubit import _direction, _sample_streams, _splitmix, _stream_keys
 
 RHO_MIXED = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
 RHO_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -251,13 +251,13 @@ class TestSqrtDensity:
     def test_closed_form_matches_spectral(self):
         # The one-formula root equals the spectral decomposition to an ulp
         # or two in every regime, pure states included (measured 2.2e-16).
-        from buresgeo.qubit import PAULI, _bloch_of
+        from buresgeo.qubit import PAULI
 
         for regime in bg.REGIMES:
             n = bg.random_bloch_indexed(23, regime, np.arange(2000))
             rho = bg.density_from_bloch(n)
             root = bg.sqrt_density(rho)
-            r = bg.bloch_norm(_bloch_of(rho))
+            r = bg.bloch_norm(bg.bloch_from_density(rho))
             lam_hi = (1.0 + r) / 2.0
             lam_lo = np.maximum((1.0 - r) / 2.0, 0.0)
             nhat = n / r[..., None]
@@ -363,7 +363,7 @@ class TestRandomBloch:
         bg.random_bloch(2**64 - 1, "pure")
 
     def test_splitmix_counter_words_differ(self):
-        words = _splitmix_at(np.uint64(12345), np.arange(1000, dtype=np.uint64))
+        words = _splitmix(np.uint64(12345), np.arange(1, 1001, dtype=np.uint64))
         assert len(np.unique(words)) == 1000
 
     @pytest.mark.parametrize("seed", [True, 1.0, "1"])
