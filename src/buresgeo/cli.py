@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import verify as verify_mod
 from .hyperbolic import _polyline_count, _polylines, _triangle
-from .qubit import REGIMES, _checked_bloch
+from .qubit import REGIMES, _in_ball, np
 
 __all__ = ["main"]
 
@@ -108,16 +108,16 @@ def _csv(lines) -> str:
 
 
 def _parse_triple(text: str, flag: str):
-    """The Bloch vector in text, validated once, and its norm."""
+    """The Bloch vector in text, validated once, as a tuple of three floats, and its norm, a float."""
     parts = text.split(",")
     if len(parts) != 3:
         raise _UsageError(f"{flag} expects three comma-separated reals, got {text!r}")
     try:
-        values = [float(p) for p in parts]
+        values = tuple([float(p) for p in parts])
     except ValueError:
         raise _UsageError(f"{flag} expects three comma-separated reals, got {text!r}") from None
     try:
-        return _checked_bloch(values)
+        return _in_ball(values)
     except ValueError as exc:
         raise _UsageError(f"{flag}: {exc}") from None
 
@@ -144,7 +144,7 @@ def _cmd_triangle(args) -> int:
     u, ru = _parse_triple(args.u, "--u")
     v, rv = _parse_triple(args.v, "--v")
     try:
-        tri = _triangle(u, ru, v, rv)
+        tri = _triangle(np.array(u), ru, np.array(v), rv)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     try:
@@ -161,8 +161,8 @@ def _cmd_triangle(args) -> int:
     result = _fields(tri)
     result["polylines"] = {name: _polyline_json(line) for (name, _, _), line in zip(_EDGES, lines)}
     inputs = {
-        "u": u.tolist(),
-        "v": v.tolist(),
+        "u": list(u),
+        "v": list(v),
         "samples_per_edge": args.samples_per_edge,
         "format": args.format,
     }

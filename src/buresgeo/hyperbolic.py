@@ -13,12 +13,12 @@ phi_v, phi_w) embedded in the Poincare disk, so the geometry behind a
 fidelity value can be inspected and plotted.
 """
 
+from __future__ import annotations
+
 import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .measures import _clamp_unit
 from .qubit import (
@@ -40,6 +40,7 @@ from .qubit import (
     _pull_back,
     _quiet_norm,
     _xyz,
+    np,
 )
 
 __all__ = [
@@ -61,7 +62,7 @@ __all__ = [
 # triangle construction degenerates to a segment.
 DEGENERATE_NORM = 1e-12
 
-_Z_AXIS = np.array([0.0, 0.0, 1.0])
+_Z_AXIS = (0.0, 0.0, 1.0)
 
 # Largest phi lorentz_boost takes: its diagonal entries cosh(phi) +- sinh(phi)
 # reach e^phi, which passes the largest double at phi = 709.7827.

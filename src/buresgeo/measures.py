@@ -13,9 +13,9 @@ from density-matrix entries and the product sqrt(rho1) rho2 sqrt(rho1)
 written out entry by entry; it never uses the Bloch closed form.
 """
 
-from typing import NamedTuple
+from __future__ import annotations
 
-import numpy as np
+from typing import NamedTuple
 
 from .qubit import (
     _SPHERE_BAND,
@@ -41,6 +41,7 @@ from .qubit import (
     _take,
     _where,
     _xyz,
+    np,
 )
 
 __all__ = [

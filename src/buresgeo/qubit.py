@@ -16,10 +16,15 @@ with the sampler's output, call the kernels directly.  Kernels work on
 2x2 matrices as explicit entries, without einsum or matmul.
 """
 
+from __future__ import annotations
+
+import functools
+import importlib.util
 import math
 import numbers
-
-import numpy as np
+import sys
+import threading
+import types
 
 __all__ = [
     "BALL_EPS",
@@ -68,10 +73,67 @@ _EIG_HERMITIAN_TOL = 1e-10
 _PSD_TOL = 1e-12
 _TRACE_TOL = 1e-12
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+# ---------------------------------------------------------------------------
+# numpy, imported on first use.
+#
+# A one-pair request runs on Python floats, and numpy's import is about
+# half of a fresh ``buresgeo fidelity`` process.  So every module of the
+# package binds ``np`` to the module below: numpy itself where it is
+# imported already, as it is for every caller that holds an array, or
+# else a module that runs numpy's code on the first access to any of its
+# attributes.  importlib's LazyLoader does the same, but before Python
+# 3.12 it marks the module loaded before running it, so a second thread
+# could see numpy half executed.  Here the first access runs the code
+# under a lock, and the module stays deferred until the code is done:
+# every other thread waits on the lock till then.
+# ---------------------------------------------------------------------------
+
+_LOAD_LOCK = threading.RLock()
+
+
+class _Deferred(types.ModuleType):
+    """A module whose code runs once, on the first access to any attribute, under _LOAD_LOCK.
+
+    The spec's loader_state marks the code as started.  The lock is
+    reentrant, so the running code's own accesses to its module come back
+    here and read what it has defined so far; every other thread waits
+    for the lock, and finds the code done.
+    """
+
+    def __getattribute__(self, name):
+        plain = types.ModuleType.__getattribute__
+        spec = plain(self, "__spec__")
+        with _LOAD_LOCK:
+            if spec.loader_state is None:
+                spec.loader_state = "started"
+                spec.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return plain(self, name)
+
+
+# numpy as imported already, or else a _Deferred module put in its place.
+if "numpy" not in sys.modules:
+    sys.modules["numpy"] = importlib.util.module_from_spec(importlib.util.find_spec("numpy"))
+    sys.modules["numpy"].__class__ = _Deferred
+np = sys.modules["numpy"]
+
+_PAULI_NAMES = ("SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI")
+
+
+def __getattr__(name: str):
+    """SIGMA_X, SIGMA_Y, SIGMA_Z and PAULI, built once, on first access (PEP 562)."""
+    if name not in _PAULI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Threads that race here build a set each; the first to store a name wins it.
+    sigmas = [np.array(m, dtype=complex) for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+    for key, value in zip(_PAULI_NAMES, [*sigmas, np.stack(sigmas)]):
+        globals().setdefault(key, value)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_PAULI_NAMES})
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +148,12 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 # back when done with them.  Every numpy call gets its destination row as
 # ``out``; without a workspace that row is None, numpy allocates, and the
 # helpers below apply Python's operators.  One pair runs on Python
-# floats: verify._compare passes each vector as a tuple of its
-# components, which _xyz returns as it is, and each norm as a float.
-# Where an operand is exactly a float, the helpers take math.sqrt, abs
-# and comparisons in place of 0-d ufunc calls; numpy scalars and arrays
+# floats: the CLI parses each vector into a tuple of its three
+# components, _in_ball validates that tuple and returns it with its norm
+# as a float, and verify._compare hands both to the kernels as they are;
+# _xyz returns such a tuple as it is.  Where an operand is exactly a
+# float, the helpers take math.sqrt, abs and comparisons in place of 0-d
+# ufunc calls, so that path loads no numpy; numpy scalars and arrays
 # never are, so the public functions keep their numpy calls, values and
 # types.  + - * / and sqrt round correctly either way, and a ufunc
 # writing into a row rounds as one allocating its result, so the bits
@@ -284,26 +348,40 @@ def _pull_back(n, r, over):
     The package's one pull-back.  Each such vector is divided by its
     norm; division can itself round back above 1, so the stragglers are
     shaved by 1, 2, 4 and 8 ulps in turn: 15 ulps exceed any rounding in
-    the norm.  The other vectors keep their bits.
+    the norm.  The other vectors, all finite, are divided and multiplied
+    by 1 only, which keeps their bits.  Takes one vector as a tuple of
+    three floats too, with its norm a float and over a bool, and returns
+    a tuple and a float.
     """
-    n = np.where(over[..., None], n / np.where(over, r, 1.0)[..., None], n)
+    xyz = [_div(c, _where(over, r, 1.0, None), None) for c in _xyz(n)]
     for ulps in (1.0, 2.0, 4.0, 8.0):
-        shave = over & (_norm3(*_xyz(n)) > 1.0)
-        n = np.where(shave[..., None], n * (1.0 - ulps * 2.0**-52), n)
-    return n, _norm3(*_xyz(n))
+        shave = _where(over & (_norm3(*xyz) > 1.0), 1.0 - ulps * 2.0**-52, 1.0, None)
+        xyz = [_mul(c, shave, None) for c in xyz]
+    return (tuple(xyz) if type(n) is tuple else np.stack(xyz, axis=-1)), _norm3(*xyz)
+
+
+def _in_ball(n):
+    """The boundary rule of _checked_bloch on the float vectors n: (n, |n|), or ValueError.
+
+    n is a float array of shape (..., 3), or one vector as a tuple of
+    three Python floats, as the CLI parses it; a tuple is checked on
+    floats, with the array's bits and messages, and comes back as a tuple
+    with its norm as a float.
+    """
+    one = type(n) is tuple
+    r = _norm3(*n) if one else _quiet_norm(n)  # float squares overflow to inf without a warning
+    if not (r <= 1.0 + _SPHERE_BAND if one else (r <= 1.0 + _SPHERE_BAND).all()):  # also on NaN
+        if not (r <= 1.0 + BALL_EPS if one else (r <= 1.0 + BALL_EPS).all()):
+            if not (all(map(math.isfinite, n)) if one else np.isfinite(n).all()):
+                raise ValueError("Bloch vector has non-finite components")
+            raise ValueError(f"Bloch vector norm {r if one else float(np.max(r))!r} lies outside the unit ball")
+        n, r = _pull_back(n, r, r > 1.0 + _SPHERE_BAND)
+    return n, r
 
 
 def _checked_bloch(n):
     """Validate n as in as_bloch_vector; return (n, |n|), the norm computed once."""
-    n = _float3(n)
-    r = _quiet_norm(n)
-    if not (r <= 1.0 + _SPHERE_BAND).all():  # also on NaN
-        if not (r <= 1.0 + BALL_EPS).all():
-            if not np.isfinite(n).all():
-                raise ValueError("Bloch vector has non-finite components")
-            raise ValueError(f"Bloch vector norm {float(np.max(r))!r} lies outside the unit ball")
-        n, r = _pull_back(n, r, r > 1.0 + _SPHERE_BAND)
-    return n, r
+    return _in_ball(_float3(n))
 
 
 def as_bloch_vector(n) -> np.ndarray:
@@ -546,9 +624,10 @@ def sqrt_density(rho) -> np.ndarray:
 
 REGIMES = ("uniform_ball", "near_pure", "near_mixed", "pure")
 
-_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SM_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM_MUL2 = np.uint64(0x94D049BB133111EB)
+# Python ints: numpy casts each to uint64 against a uint64 array.
+_SM_GAMMA = 0x9E3779B97F4A7C15
+_SM_MUL1 = 0xBF58476D1CE4E5B9
+_SM_MUL2 = 0x94D049BB133111EB
 
 # Norm bands of the near_pure and near_mixed regimes, which the sampler
 # draws from and verify.compare flags: within NEAR_PURE_BAND of the
@@ -557,8 +636,8 @@ _SM_MUL2 = np.uint64(0x94D049BB133111EB)
 NEAR_PURE_BAND = 1e-3
 NEAR_MIXED_BAND = 1e-3
 _NEAR_PURE_GAP_LO = 1e-9
-_LOG_GAP_LO = np.log(_NEAR_PURE_GAP_LO)
-_LOG_GAP_HI = np.log(NEAR_PURE_BAND)
+_LOG_GAP_LO = math.log(_NEAR_PURE_GAP_LO)
+_LOG_GAP_HI = math.log(NEAR_PURE_BAND)
 
 
 def _mix64(x, tmp=None):
@@ -591,7 +670,15 @@ def _splitmix(keys, counter, out=None, tmp=None):
 # first three: polar, azimuth and radius.  splitmix64 mixes position + 1,
 # so the words sit at 4i + 1 .. 4i + 3 of its counter.
 _INDEX_LIMIT = 2**62
-_WORD_COUNTERS = np.arange(1, 4, dtype=np.uint64)[:, None]
+
+
+@functools.cache
+def _word_counters():
+    """The counter offsets 1, 2 and 3 of an index's words, as a (3, 1) uint64 array, built on first use.
+
+    An array, not a list: a list of ints would promote the uint64 sum to float64.
+    """
+    return np.arange(1, 4, dtype=np.uint64)[:, None]
 
 
 def _check_int(value, name: str, lo: int, hi: int) -> int:
@@ -699,7 +786,7 @@ def _sample_streams(keys, regimes, indices, ws=None) -> np.ndarray:
     mixed = out.view(np.uint64)
     # 4 i goes through the words' first row, the counter through the output's.
     scaled = np.multiply(indices, np.uint64(4), out=None if ws is None else words[0, 0])
-    counter = np.add(scaled, _WORD_COUNTERS, out=None if ws is None else mixed[0])
+    counter = np.add(scaled, _word_counters(), out=None if ws is None else mixed[0])
     words = _splitmix(keys, counter, words, mixed)
     words >>= np.uint64(11)
     # Cast first, exactly (the words are below 2**53), then scale in place:

@@ -12,14 +12,14 @@ equivalent one.  One stripe loop runs the blocks: stripe 0 on the
 calling thread, the others on threads it starts and joins itself.
 """
 
+from __future__ import annotations
+
 import math
 import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .hyperbolic import _hyperbolic_fidelity
 from .measures import _closed_fidelity, _matrix_fidelity, _trace_distance
@@ -46,6 +46,7 @@ from .qubit import (
     _take,
     _where,
     _xyz,
+    np,
 )
 
 __all__ = ["FidelityReport", "SweepSummary", "compare", "sweep"]
@@ -167,7 +168,7 @@ def _routes(u, v, ru, rv, ws=None):
         _minimum(rv, PURE_NORM, rv_clip),
         ws,
     )
-    f_hyp = _where(pure, np.nan, f_hyp, _own(ws, f_hyp))
+    f_hyp = _where(pure, math.nan, f_hyp, _own(ws, f_hyp))
     _give(ws, dot, high, mask, ru_clip, rv_clip)
     spread, apart, tmp = _take(ws, 3)
     gap = _fmax(
@@ -191,18 +192,16 @@ def compare(u, v) -> FidelityReport:
     v, rv = _checked_bloch(v)
     if u.shape != (3,) or v.shape != (3,):
         raise ValueError("compare takes a single pair of Bloch vectors")
-    return _compare(u, ru, v, rv)
+    return _compare(tuple(u.tolist()), float(ru), tuple(v.tolist()), float(rv))
 
 
 def _compare(u, ru, v, rv) -> FidelityReport:
-    """compare of trusted Bloch vectors u, v of shape (3,) and their norms.
+    """compare of trusted Bloch vectors u, v, each a tuple of three Python floats, and their float norms.
 
-    The routes and the trace distance run on Python floats: each vector
-    goes in as the tuple of its components and each norm as a float, so
-    the kernels take no numpy call on the pair, and return the bits that
+    The routes and the trace distance run on Python floats, so the
+    kernels take no numpy call on the pair, and return the bits that
     _route_spread gives for the same vectors.
     """
-    u, v, ru, rv = tuple(u.tolist()), tuple(v.tolist()), float(ru), float(rv)
     f_matrix, f_closed, f_hyp, spread = map(float, _routes(u, v, ru, rv))
     return FidelityReport(
         u=u,

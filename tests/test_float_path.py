@@ -30,6 +30,7 @@ from buresgeo.qubit import (
     _abs,
     _checked_bloch,
     _fmax,
+    _in_ball,
     _maximum,
     _minimum,
     _norm3,
@@ -67,6 +68,11 @@ def _array_path(u: np.ndarray, v: np.ndarray):
     return routes, measures._trace_distance(u, v)
 
 
+def _one_pair(n: np.ndarray):
+    """The vector n of shape (3,) and its norm as the CLI hands them to verify._compare: a tuple and a float."""
+    return _in_ball(tuple(n.tolist()))
+
+
 def _assert_same_bits(u: np.ndarray, v: np.ndarray) -> None:
     try:
         (f_matrix, f_closed, f_hyp, spread), d_trace = _array_path(u, v)
@@ -77,13 +83,11 @@ def _assert_same_bits(u: np.ndarray, v: np.ndarray) -> None:
                 _assert_same_bits(u[i : i + 1], v[i : i + 1])
             return
         with pytest.raises(ValueError) as raised:
-            verify._compare(*_checked_bloch(u[0]), *_checked_bloch(v[0]))
+            verify._compare(*_one_pair(u[0]), *_one_pair(v[0]))
         assert str(raised.value) == str(exc)
         return
     for i in range(len(u)):
-        ui, ru = _checked_bloch(u[i])
-        vi, rv = _checked_bloch(v[i])
-        report = verify._compare(ui, ru, vi, rv)
+        report = verify._compare(*_one_pair(u[i]), *_one_pair(v[i]))
         for name in REPORT_FLOATS:
             assert type(getattr(report, name)) is float, name
         assert all(type(x) is float for x in report.u + report.v)
@@ -293,3 +297,97 @@ def test_public_functions_keep_their_numpy_types_on_one_vector(regime_u, regime_
             else:
                 assert type(value) is np.ndarray and value.dtype == row.dtype, name
             assert np.array_equal(np.asarray(value).view(np.uint64), np.asarray(row).view(np.uint64)), name
+
+
+# ---------------------------------------------------------------------------
+# The boundary rule on the CLI's tuple against the public array form.
+# ---------------------------------------------------------------------------
+
+_UNIT = st.floats(-1.0, 1.0)
+_SUBNORMAL = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+
+
+def _on_radius(radius):
+    """Triples of the given radii, along random directions; rounding may move the norm by an ulp or two."""
+    directions = st.tuples(_UNIT, _UNIT, _UNIT).filter(lambda d: math.hypot(*d) > 0.1)
+    return st.builds(lambda d, r: tuple(c / math.hypot(*d) * r for c in d), directions, radius)
+
+
+_TRIPLES = {
+    "ball": _on_radius(st.floats(0.0, 1.0)),
+    "past_sphere": _on_radius(
+        st.one_of(
+            st.floats(1.0 + 1e-13, 1.0 + BALL_EPS, exclude_min=True),
+            st.sampled_from([math.nextafter(1.0 + 1e-13, 2.0), 1.0 + BALL_EPS]),
+        )
+    ),
+    "past_ball_eps": _on_radius(st.floats(1.0 + BALL_EPS, 4.0, exclude_min=True)),
+    "non_finite": st.tuples(
+        st.sampled_from([math.nan, math.inf, -math.inf]), st.one_of(_UNIT, st.just(math.nan)), _UNIT
+    ).flatmap(st.permutations).map(tuple),
+    "huge": st.tuples(*[st.floats(1e199, 1e201).flatmap(lambda x: st.sampled_from([x, -x]))] * 3),
+    "subnormal": st.tuples(_SUBNORMAL, _SUBNORMAL, _SUBNORMAL),
+}
+
+
+def _rule_on_both_forms(triple: tuple):
+    """_in_ball on the tuple against _checked_bloch on the array: same (n, |n|) bits, or the same ValueError."""
+    try:
+        n, r = _checked_bloch(np.array(triple))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            _in_ball(triple)
+        assert str(raised.value) == str(exc)
+        return None
+    got_n, got_r = _in_ball(triple)
+    assert type(got_n) is tuple and all(type(c) is float for c in got_n) and type(got_r) is float
+    assert [_bits(c) for c in got_n] == [_bits(c) for c in n] and _bits(got_r) == _bits(r), triple
+    return got_n, got_r
+
+
+@settings(max_examples=400, deadline=None)
+@given(triple=st.one_of(*_TRIPLES.values()))
+def test_boundary_rule_is_one_rule_on_tuples_and_arrays(triple):
+    _rule_on_both_forms(triple)
+
+
+@pytest.mark.parametrize("kind", sorted(_TRIPLES))
+def test_each_kind_of_triple_takes_its_branch(kind):
+    # The draws above cover each branch of the rule: kept, pulled back, or rejected.
+    triple = {
+        "ball": (0.6, 0.0, -0.8 * 0.5),
+        "past_sphere": (1.0 + BALL_EPS, 0.0, 0.0),
+        "past_ball_eps": (0.0, 1.0 + 2 * BALL_EPS, 0.0),
+        "non_finite": (0.0, math.nan, -math.inf),
+        "huge": (1e200, -1e200, 1e200),
+        "subnormal": (5e-324, -1e-310, 2e-308),
+    }[kind]
+    result = _rule_on_both_forms(triple)
+    if kind in ("ball", "subnormal"):
+        assert result[0] == triple
+    elif kind == "past_sphere":
+        assert result == ((1.0, 0.0, 0.0), 1.0)
+    else:
+        assert result is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    u=st.one_of(_TRIPLES["ball"], _TRIPLES["past_sphere"]),
+    v=st.one_of(_TRIPLES["ball"], _TRIPLES["past_sphere"]),
+    identical=st.booleans(),
+)
+def test_cli_pair_reports_what_compare_reports(u, v, identical):
+    # The CLI validates tuples and hands them to _compare as they are;
+    # the public compare validates arrays.  The reports carry the same bits.
+    v = u if identical else v
+    checked_u, checked_v = _rule_on_both_forms(u), _rule_on_both_forms(v)
+    assume(checked_u is not None and checked_v is not None)  # scaling can round past 1 + BALL_EPS
+    ours = verify._compare(*checked_u, *checked_v)
+    theirs = bg.compare(np.array(u), np.array(v))
+    assert ours.regime_flags == theirs.regime_flags
+    for name in ("u", "v", *REPORT_FLOATS, "f_hyperbolic"):
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert [_bits(x) for x in np.ravel(a)] == [_bits(x) for x in np.ravel(b)], name
