@@ -7,7 +7,6 @@ consistency failure, 2 usage error.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -79,11 +78,6 @@ def _emit(value) -> str:
     return json.dumps(value)
 
 
-def _fields(record) -> dict:
-    """A dataclass instance as a dict of its fields, in declaration order."""
-    return {field.name: getattr(record, field.name) for field in dataclasses.fields(record)}
-
-
 def _envelope(command: str, inputs: dict, result: dict) -> str:
     return _emit(
         {
@@ -126,7 +120,7 @@ def _cmd_fidelity(args) -> int:
     u, ru = _parse_triple(args.u, "--u")
     v, rv = _parse_triple(args.v, "--v")
     report = verify_mod._compare(u, ru, v, rv)
-    result = _fields(report)
+    result = report._asdict()
     result["regime_flags"] = sorted(report.regime_flags)
     print(_envelope("fidelity", {"u": report.u, "v": report.v, "format": args.format}, result))
     # Written so that a NaN spread fails too.
@@ -158,7 +152,7 @@ def _cmd_triangle(args) -> int:
         print(_csv(lines.tolist()))
         return EXIT_OK
 
-    result = _fields(tri)
+    result = tri._asdict()
     result["polylines"] = {name: _polyline_json(line) for (name, _, _), line in zip(_EDGES, lines)}
     inputs = {
         "u": list(u),
@@ -184,7 +178,7 @@ def _cmd_verify(args) -> int:
         "regime_v": args.regime_v,
         "tolerance": args.tolerance,
     }
-    print(_envelope("verify", inputs, _fields(summary)))
+    print(_envelope("verify", inputs, summary._asdict()))
     if not summary.max_diff <= args.tolerance:  # a NaN spread fails too
         print(
             f"verification failed: max_diff {summary.max_diff:.3e} > tolerance "

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .measures import _clamp_unit
@@ -248,8 +247,7 @@ def fidelity_hyperbolic(u, v):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperbolicTriangle:
+class HyperbolicTriangle(NamedTuple):
     """Triangle ABC with |AB| = phi_u, |AC| = phi_v, |BC| = phi_w.
 
     The embedding pose is canonical: A at the disk origin, B on the

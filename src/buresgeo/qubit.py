@@ -214,9 +214,7 @@ def _sqrt(x, out):
 
 
 def _abs(x, out):
-    if out is not None:
-        return np.abs(x, out=out)
-    return abs(x) if type(x) is float else np.abs(x)
+    return abs(x) if out is None else np.abs(x, out=out)
 
 
 def _neg(x, out):
@@ -832,6 +830,8 @@ def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndar
     stream = _check_int(stream, "stream", 0, 2**64)
     _check_regime(regime)
     idx = np.asarray(indices)
+    if idx.size == 0:  # numpy reads [] as float64
+        idx = np.empty(idx.shape, dtype=np.uint64)
     if not np.issubdtype(idx.dtype, np.integer) or np.any(idx < 0) or np.any(idx >= _INDEX_LIMIT):
         raise ValueError("indices must be integers in [0, 2**62)")
     out = _sample_streams(_stream_keys(seed, (stream,)), (regime,), idx.reshape(-1).astype(np.uint64))

@@ -18,8 +18,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 from .hyperbolic import _hyperbolic_fidelity
 from .measures import _closed_fidelity, _matrix_fidelity, _trace_distance
@@ -68,24 +67,22 @@ _BLOCK = 16384
 # sampler's (2, 3, block) output, which the routes take over once read.
 _WORKSPACE_ROWS = 22
 
-# Most threads one sweep runs on.  Each holds one workspace and one
-# buffer of p99 candidates, so the cap bounds that memory.  On the 2-core
-# Xeon, two threads ran a 1e6-trial sweep 1.3-1.4x and a 1e5-trial sweep
-# 1.2-1.4x faster than one thread, which took 21-27 ms: the numpy calls
-# on one block are short, and each hands the interpreter lock back and
-# forth.  Three threads were no faster than two there; more cores were
-# not available to measure.
+# Most threads one sweep runs on.  Each holds one workspace, so the cap
+# bounds that memory.  On the 2-core Xeon, two threads ran a 1e6-trial
+# sweep 1.3-1.4x and a 1e5-trial sweep 1.2-1.4x faster than one thread,
+# which took 21-27 ms: the numpy calls on one block are short, and each
+# hands the interpreter lock back and forth.  Three threads were no
+# faster than two there; more cores were not available to measure.
 _MAX_THREADS = 4
 
 # Largest trial count a sweep accepts.  Nothing is kept per trial, but
-# the p99 needs the k largest spreads, about trials / 100: each thread
-# buffers up to 2k doubles for them, 687 MB at this cap, and larger
-# counts are refused before anything is allocated.
+# the p99 needs the k largest spreads, about trials / 100: the sweep
+# buffers up to 2k doubles and one block for them, 687 MB at this cap,
+# and larger counts are refused before anything is allocated.
 _MAX_TRIALS = 2**32
 
 
-@dataclass(frozen=True)
-class FidelityReport:
+class FidelityReport(NamedTuple):
     """All routes computed for one pair, with their worst disagreement.
 
     ``f_hyperbolic`` is None when either input is flagged pure: the
@@ -96,15 +93,14 @@ class FidelityReport:
     u: tuple
     v: tuple
     f_matrix: float
-    f_hyperbolic: Optional[float]
+    f_hyperbolic: float | None
     f_closed: float
     d_trace: float
     max_pairwise_diff: float
     regime_flags: frozenset
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     """Disagreement statistics over a seeded batch of trials."""
 
     trials: int
@@ -279,7 +275,7 @@ def _p99_low(n: int) -> int:
     return math.floor((n - 1) * 0.99) if n > 1 else -1
 
 
-def _p99_sorted(values: np.ndarray, trials: Optional[int] = None) -> float:
+def _p99_sorted(values: np.ndarray, trials: int | None = None) -> float:
     """The 99th percentile of ascending values, as np.percentile(values, 99.0).
 
     numpy's default linear method: the order statistics at
@@ -302,55 +298,40 @@ def _p99_sorted(values: np.ndarray, trials: Optional[int] = None) -> float:
 
 
 class _Largest:
-    """The k largest values of all that are added, in a buffer of 2k doubles.
+    """The k largest values of all that are added, in a buffer of 2k + width doubles.
 
     NaN counts as the largest, as np.sort puts it last.  ``floor`` is the
     k-th largest value in the buffer when it was last cut back to k: a
     later value no greater leaves the k largest values as they are, so
-    blocks add only the values above it.  When the buffer fills, an
-    in-place partition cuts it back to its k largest.  Each cut drops k
-    values, so the partitions cost O(1) per value added.
+    each block of at most ``width`` values appends only those above it.
+    Once the buffer holds more than 2k, an in-place partition cuts it
+    back to its k largest.  Each cut drops more than k values, so the
+    partitions cost O(1) per value added.  The k largest do not depend
+    on the order in which blocks are added.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, width: int):
         self.k = k
-        self.buffer = np.empty(2 * k)
+        self.buffer = np.empty(2 * k + width)
         self.size = 0
         self.floor = -math.inf
 
-    def push(self, values) -> None:
-        """Append at most k values, cutting the buffer back to k when it fills."""
-        k, size = self.k, self.size
-        room = 2 * k - size
-        if len(values) > room:
-            self.buffer[size:] = values[:room]
-            values = values[room:]
-            # Elements k.. are now the k largest, element k the least of them.
-            self.buffer.partition(k)
-            self.floor = float(self.buffer[k])
-            self.buffer[:k] = self.buffer[k:]
-            size = k
-        self.buffer[size : size + len(values)] = values
-        self.size = size + len(values)
-
     def add(self, block, ws) -> None:
-        """Push the values of block that may be among the k largest; two rows of ws are lent."""
-        keep_row, kept = _take(ws, 2)
-        keep = np.less_equal(block, self.floor, out=_bools(keep_row))
+        """Append the values of block that may be among the k largest; one row of ws is lent."""
+        (row,) = _take(ws, 1)
+        keep = np.less_equal(block, self.floor, out=_bools(row))
         np.logical_not(keep, out=keep)  # NaN compares false, so it is kept
-        count = int(np.count_nonzero(keep))
-        n = len(block)
-        if count > self.k:
-            # More than k stand above the floor: the block's own k largest.
-            np.copyto(kept, block)
-            kept.partition(n - self.k)
-            self.push(kept[n - self.k :])
-        elif count == n:
-            self.push(block)
-        elif count:
-            # np.compress allocates only the list of the count kept indices.
-            self.push(np.compress(keep, block, out=kept[:count]))
-        _give(ws, keep_row, kept)
+        size = self.size + int(np.count_nonzero(keep))
+        # np.compress allocates only the list of the indices it keeps.
+        np.compress(keep, block, out=self.buffer[self.size : size])
+        _give(ws, row)
+        if size > 2 * self.k:
+            # Elements size - k.. are now the k largest, the first the least of them.
+            self.buffer[:size].partition(size - self.k)
+            self.floor = float(self.buffer[size - self.k])
+            self.buffer[: self.k] = self.buffer[size - self.k : size]
+            size = self.k
+        self.size = size
 
     def top(self) -> np.ndarray:
         """The k largest values added, or all of them if fewer, ascending, in place."""
@@ -405,27 +386,29 @@ def _run_stripes(keys, regimes, trials: int, threads: int):
     Each block reduces its own spreads: its exact sum, a Python int,
     adds to the stripe's, so the total does not depend on how blocks or
     stripes are merged; its np.argmax is merged in index order; and its
-    values that may be among the k largest go to the stripe's _Largest.
+    values that may be among the k largest go to the sweep's one
+    _Largest, which the stripes share under ``lock``.
     """
     k = trials - max(_p99_low(trials), 0)
     width = min(_BLOCK, trials)
     try:
         workspaces = np.empty((threads, _WORKSPACE_ROWS, width))
-        largest = [_Largest(k) for _ in range(threads)]
+        largest = _Largest(k, width)
     except MemoryError:
-        nbytes = 8 * threads * (_WORKSPACE_ROWS * width + 2 * k)
+        nbytes = 8 * (threads * _WORKSPACE_ROWS * width + 2 * k + width)
         raise ValueError(
             f"trials={trials} needs {nbytes} bytes for the sweep workspaces and p99 candidates, "
             "more than this process can allocate"
         ) from None
     step = threads * _BLOCK
     stop = threading.Event()
+    lock = threading.Lock()
     results = [(0, None)] * threads
     errors = []
 
     def stripe(t):
         try:
-            rows, top = workspaces[t], largest[t]
+            rows = workspaces[t]
             indices = rows[0].view(np.uint64)
             indices[:] = np.arange(t * _BLOCK, t * _BLOCK + width, dtype=np.uint64)
             total, best = 0, None
@@ -439,7 +422,8 @@ def _run_stripes(keys, regimes, trials: int, threads: int):
                 total += _exact_sum(spread, ws)
                 worst = int(np.argmax(spread))
                 best = _first_max(best, lo + worst, float(spread[worst]))
-                top.add(spread, ws)
+                with lock:
+                    largest.add(spread, ws)
                 indices += np.uint64(step)
             results[t] = (total, best)
         except BaseException as exc:
@@ -465,9 +449,7 @@ def _run_stripes(keys, regimes, trials: int, threads: int):
     best = None
     for index, value in sorted(best for _, best in results if best is not None):
         best = _first_max(best, index, value)
-    for other in largest[1:]:
-        largest[0].push(other.top())
-    return sum(total for total, _ in results), best, _p99_sorted(largest[0].top(), trials)
+    return sum(total for total, _ in results), best, _p99_sorted(largest.top(), trials)
 
 
 def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
@@ -492,11 +474,12 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
 
     Memory grows with the thread count, and with the trial count only
     through the p99 candidates: each thread holds a workspace of 22 rows
-    of a 16384-trial block, 2.9 MB, and a buffer of 2k doubles, 16 B per
-    k, where k is about trials / 100.  That is 3.0 MB a thread at 1e6
-    trials, 4.5 MB at 1e7 and 690 MB at the cap of 2**32.  ``trials``
-    may not exceed 2**32; a larger count, or one whose buffers cannot be
-    allocated, raises ValueError.
+    of a 16384-trial block, 2.9 MB, and the sweep holds one buffer of 2k
+    doubles and one 128 KiB block, shared by its threads, where k is
+    about trials / 100.  That is threads x 2.9 MB + 16 B x k + 128 KiB:
+    the candidates take 0.29 MB at 1e6 trials, 1.7 MB at 1e7 and 687 MB
+    at the cap of 2**32.  ``trials`` may not exceed 2**32; a larger
+    count, or one whose buffers cannot be allocated, raises ValueError.
     """
     start = time.perf_counter()
     seed = _check_int(seed, "seed", 0, 2**64)

@@ -3,7 +3,6 @@
 Run with output visible:  pytest -s tests/test_acceptance.py
 """
 
-import dataclasses
 import json
 import math
 import re
@@ -269,7 +268,7 @@ def test_criterion_7_determinism(capsys, monkeypatch):
     def sweep_with_block(block):
         monkeypatch.setattr(verify, "_BLOCK", block)
         summary = bg.sweep(424242, 20000, "near_pure", "uniform_ball")
-        return dataclasses.replace(summary, elapsed_seconds=0.0)
+        return summary._replace(elapsed_seconds=0.0)
 
     base = sweep_with_block(20000)
     blocks_identical = all(sweep_with_block(block) == base for block in (1000, 4096))

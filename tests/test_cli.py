@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -125,7 +124,7 @@ class TestFidelityCommand:
         real = cli.verify_mod._compare
 
         def broken(u, ru, v, rv):
-            return dataclasses.replace(real(u, ru, v, rv), max_pairwise_diff=1e-6)
+            return real(u, ru, v, rv)._replace(max_pairwise_diff=1e-6)
 
         monkeypatch.setattr(cli.verify_mod, "_compare", broken)
         code, out, err = run_cli(capsys, "fidelity", "--u", "0.5,0,0", "--v", "0,0.5,0")
@@ -151,7 +150,7 @@ class TestFidelityCommand:
         real = cli.verify_mod._compare
 
         def broken(u, ru, v, rv):
-            return dataclasses.replace(real(u, ru, v, rv), max_pairwise_diff=math.nan)
+            return real(u, ru, v, rv)._replace(max_pairwise_diff=math.nan)
 
         monkeypatch.setattr(cli.verify_mod, "_compare", broken)
         code, out, err = run_cli(capsys, "fidelity", "--u", "0.5,0,0", "--v", "0,0.5,0")
@@ -414,13 +413,9 @@ def oracle_envelope(command: str, inputs: dict, result: dict) -> str:
     return oracle_emit({"schema_version": "1", "command": command, "inputs": inputs, "result": result}) + "\n"
 
 
-def record_fields(record) -> dict:
-    return {field.name: getattr(record, field.name) for field in dataclasses.fields(record)}
-
-
 def oracle_fidelity(u, v) -> str:
     report = bg.compare(u, v)
-    result = record_fields(report)
+    result = report._asdict()
     result["regime_flags"] = sorted(report.regime_flags)
     return oracle_envelope("fidelity", {"u": report.u, "v": report.v, "format": "json"}, result)
 
@@ -433,7 +428,7 @@ def oracle_triangle(u, v, samples: int, fmt: str) -> str:
     }
     if fmt == "csv":
         return oracle_csv(polylines) + "\n"
-    result = record_fields(tri)
+    result = tri._asdict()
     result["polylines"] = polylines
     inputs = {"u": list(u), "v": list(v), "samples_per_edge": samples, "format": fmt}
     return oracle_envelope("triangle", inputs, result)

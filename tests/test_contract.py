@@ -17,7 +17,7 @@ The list of public names itself comes from one source, each module's
 ``__all__``; the package re-exports the four lists.
 """
 
-import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -279,7 +279,21 @@ def test_every_public_callable_is_under_contract():
     for name in RECORDS:
         record = getattr(bg, name)
         assert isinstance(record, type)
-        assert dataclasses.is_dataclass(record) or issubclass(record, tuple), name
+        assert issubclass(record, tuple), name
+
+
+def test_result_records_keep_their_repr_hash_pickling_and_immutability():
+    # As the frozen dataclasses they replaced: the repr lists every field,
+    # and the hash is that of the tuple of field values.
+    pair = ([0.5, 0.0, 0.0], [0.0, 0.5, 0.0])
+    for record in (bg.compare(*pair), bg.triangle(*pair), bg.sweep(1, 10, "pure", "near_pure")):
+        fields = record._asdict()
+        items = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(record) == f"{type(record).__name__}({items})"
+        assert hash(record) == hash(tuple(fields.values()))
+        assert pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(AttributeError):
+            setattr(record, next(iter(fields)), None)
 
 
 @pytest.mark.parametrize("name", FUNCTIONS)

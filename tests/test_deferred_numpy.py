@@ -1,5 +1,8 @@
 """numpy imported on first use: a fidelity request loads none of it, the rest loads it as before.
 
+A fidelity request loads neither dataclasses nor inspect either: the
+result records are NamedTuples.
+
 The package binds ``np`` to numpy itself when numpy is imported already,
 as it is in this test process, and otherwise to a module that runs
 numpy's code on first attribute access, under a lock.  Each check that
@@ -25,10 +28,14 @@ SRC = str(Path(bg.__file__).resolve().parents[1])
 
 # Run as ``python -m buresgeo.cli ARGS`` runs, with a hook that writes the
 # numpy submodules loaded by exit to stderr, as JSON, after the CLI's own
-# output.  numpy itself always sits in sys.modules, as the deferred module.
+# output, with dataclasses and inspect if the run loaded them (site may
+# have loaded them before, which does not count).  numpy itself always
+# sits in sys.modules, as the deferred module.
 NUMPY_AT_EXIT = """
-import atexit, json, runpy, sys
-atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy."))), file=sys.stderr))
+import sys
+records = {"dataclasses", "inspect"} - set(sys.modules)
+import atexit, json, runpy
+atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy.") or m in records)), file=sys.stderr))
 sys.argv = ["buresgeo"] + sys.argv[1:]
 runpy.run_module("buresgeo.cli", run_name="__main__", alter_sys=True)
 """

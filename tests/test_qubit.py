@@ -314,6 +314,13 @@ class TestRandomBloch:
         np.testing.assert_array_equal(batch[0], bg.random_bloch(77, "near_pure"))
         single = bg.random_bloch_indexed(77, "near_pure", 17)
         np.testing.assert_array_equal(batch[17], single)
+        # numpy reads [] as float64: a batch with no index is empty whatever its dtype.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for empty in ([], [[]], np.empty(0, dtype=int), np.empty(0, dtype=complex)):
+                assert bg.random_bloch_indexed(77, "near_pure", empty).shape == np.shape(empty) + (3,)
+        with pytest.raises(ValueError, match="indices must be integers"):
+            bg.random_bloch_indexed(77, "near_pure", [0.0])
 
     def test_partition_invariant(self):
         idx = np.arange(1000)

@@ -1,6 +1,5 @@
 """Tests for cross-route reports and deterministic sweeps."""
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -19,7 +18,7 @@ from buresgeo import cli, verify
 
 
 def _strip_elapsed(summary):
-    return dataclasses.replace(summary, elapsed_seconds=0.0)
+    return summary._replace(elapsed_seconds=0.0)
 
 
 @functools.cache
@@ -230,9 +229,10 @@ class TestSweep:
             raise MemoryError
 
         # One thread: a workspace of _WORKSPACE_ROWS rows of 10 trials, and
-        # 2k = 4 candidate doubles for the k = 10 - floor(9 * 0.99) = 2 largest.
+        # 2k = 4 candidate doubles for the k = 10 - floor(9 * 0.99) = 2
+        # largest, with room for one block of 10 more.
         monkeypatch.setattr(verify.np, "empty", fail)
-        nbytes = 8 * (verify._WORKSPACE_ROWS * 10 + 4)
+        nbytes = 8 * (verify._WORKSPACE_ROWS * 10 + 4 + 10)
         with pytest.raises(ValueError, match=f"trials=10 needs {nbytes} bytes"):
             bg.sweep(0, 10, "uniform_ball", "uniform_ball")
 
@@ -404,16 +404,22 @@ class TestReductions:
     ),
     k=st.integers(1, 40),
     cuts=st.lists(st.integers(0, 300), max_size=8),
+    data=st.data(),
 )
-def test_largest_keeps_the_k_largest(values, k, cuts):
+def test_largest_keeps_the_k_largest(values, k, cuts, data):
+    # Stripes share one buffer, so blocks arrive in any order.
     x = np.array(values)
     k = min(k, len(x))
-    largest = verify._Largest(k)
     bounds = sorted({0, len(x), *(min(c, len(x)) for c in cuts)})
-    for lo, hi in zip(bounds, bounds[1:]):
-        largest.add(x[lo:hi].copy(), list(np.empty((2, hi - lo))))
+    blocks = [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    order = data.draw(st.permutations(range(len(blocks))))
+    largest = verify._Largest(k, max(map(len, blocks)))
+    added = np.empty(0)
+    for i in order:
+        largest.add(blocks[i].copy(), list(np.empty((1, len(blocks[i])))))
+        added = np.concatenate([added, blocks[i]])
         # The floor never passes the k-th largest value added so far.
-        kth = np.sort(x[:hi])[-k] if hi >= k else -math.inf
+        kth = np.sort(added)[-k] if len(added) >= k else -math.inf
         assert not largest.floor > kth
     assert repr(largest.top().tolist()) == repr(np.sort(x)[-k:].tolist())
 
