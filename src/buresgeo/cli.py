@@ -3,7 +3,11 @@
 Every successful command writes exactly one machine-readable envelope to
 stdout (JSON, or CSV where the triangle command is asked for it) and all
 diagnostics to stderr.  Exit codes: 0 success, 1 verification or
-consistency failure, 2 usage error.
+consistency failure, 2 usage error.  Exit 1 also covers a route's own
+consistency check (a fidelity outside [0, 1], a negative eigenvalue)
+failing inside ``fidelity`` or ``verify``: stderr then gets one
+``verification failed:`` line and stdout stays empty.  Any other
+ValueError a command raises is a usage error.
 """
 
 import argparse
@@ -14,6 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import verify as verify_mod
 from .hyperbolic import _polyline_count, _polylines, _triangle
+from .measures import _RouteError
 from .qubit import REGIMES, _in_ball, np
 
 __all__ = ["main"]
@@ -28,10 +33,6 @@ EXIT_USAGE = 2
 ROUTE_DISAGREEMENT = 1e-8
 
 _EDGES = (("AB", "disk_a", "disk_b"), ("AC", "disk_a", "disk_c"), ("BC", "disk_b", "disk_c"))
-
-
-class _UsageError(Exception):
-    pass
 
 
 # Formats of a point, 2 or 3 floats, written in one call.
@@ -105,15 +106,15 @@ def _parse_triple(text: str, flag: str):
     """The Bloch vector in text, validated once, as a tuple of three floats, and its norm, a float."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise _UsageError(f"{flag} expects three comma-separated reals, got {text!r}")
+        raise ValueError(f"{flag} expects three comma-separated reals, got {text!r}")
     try:
         values = tuple([float(p) for p in parts])
     except ValueError:
-        raise _UsageError(f"{flag} expects three comma-separated reals, got {text!r}") from None
+        raise ValueError(f"{flag} expects three comma-separated reals, got {text!r}") from None
     try:
         return _in_ball(values)
     except ValueError as exc:
-        raise _UsageError(f"{flag}: {exc}") from None
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _cmd_fidelity(args) -> int:
@@ -137,14 +138,11 @@ def _cmd_fidelity(args) -> int:
 def _cmd_triangle(args) -> int:
     u, ru = _parse_triple(args.u, "--u")
     v, rv = _parse_triple(args.v, "--v")
-    try:
-        tri = _triangle(np.array(u), ru, np.array(v), rv)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    tri = _triangle(np.array(u), ru, np.array(v), rv)
     try:
         count = _polyline_count(args.samples_per_edge)
     except ValueError as exc:
-        raise _UsageError(f"--samples-per-edge: {exc}") from None
+        raise ValueError(f"--samples-per-edge: {exc}") from None
     ends = [(complex(*getattr(tri, start)), complex(*getattr(tri, end))) for _, start, end in _EDGES]
     lines = _polylines(ends, count)
 
@@ -166,11 +164,8 @@ def _cmd_triangle(args) -> int:
 
 def _cmd_verify(args) -> int:
     if not args.tolerance > 0.0:
-        raise _UsageError("--tolerance must be positive")
-    try:
-        summary = verify_mod.sweep(args.seed, args.trials, args.regime_u, args.regime_v)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise ValueError("--tolerance must be positive")
+    summary = verify_mod.sweep(args.seed, args.trials, args.regime_u, args.regime_v)
     inputs = {
         "seed": args.seed,
         "trials": args.trials,
@@ -261,7 +256,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except _RouteError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -67,6 +67,10 @@ _PSD_SLACK = 1e-10
 _EXACT_PURE_NORM = 1.0 - _SPHERE_BAND
 
 
+class _RouteError(ValueError):
+    """A route's own consistency check failed on trusted inputs: a fault in the computation, not a usage error."""
+
+
 class LambdaRoots(NamedTuple):
     """Eigenvalues of sqrt(rho1) rho2 sqrt(rho1), largest first."""
 
@@ -99,7 +103,7 @@ def _clamp_unit(x, what: str, out=None):
             return np.clip(x, 0.0, 1.0, out=out)[()]
     value = float(x)
     if value < -UNIT_SLACK or value > 1.0 + UNIT_SLACK:
-        raise ValueError(f"{what} {value!r} lies outside [0, 1]")
+        raise _RouteError(f"{what} {value!r} lies outside [0, 1]")
     value = min(max(value, 0.0), 1.0)
     return value if one else np.float64(value)
 
@@ -204,7 +208,7 @@ def _matrix_fidelity(rho1, rho2, ws=None):
     # a batch through its minimum, taken by fmin so a NaN hides no negative.
     one = type(lo) is float or lo.ndim == 0
     if (float(lo) if one else np.fmin.reduce(lo, None, initial=np.inf)) < -_PSD_SLACK:
-        raise ValueError(
+        raise _RouteError(
             f"sqrt(rho1) rho2 sqrt(rho1) has eigenvalue {float(np.min(lo)):.3e} < -1e-10"
         )
     _give(ws, *product, lo)
@@ -230,7 +234,7 @@ def _matrix_fidelity(rho1, rho2, ws=None):
     # round unlike the array path, so compare would not reproduce a sweep.
     t = _add(root_hi, _sqrt(lam_minus, lam), f)
     _give(ws, gap2, hi, lam, mask)
-    return _clamp_unit(_mul(t, t, f), "bures fidelity", f)
+    return _clamp_unit(_mul(t, t, f), "matrix-route fidelity", f)
 
 
 def _zeros(row, like):
@@ -295,7 +299,7 @@ def _closed_fidelity(dot, ru, rv, ws=None):
     root = _sqrt(_mul(gap, gap_v, row), row)
     fid = _add(half, _mul(0.5, root, row), out)
     _give(ws, gap, gap_v)
-    return _clamp_unit(fid, "bures fidelity", out)
+    return _clamp_unit(fid, "closed-route fidelity", out)
 
 
 def bures_fidelity_closed(u, v):

@@ -226,7 +226,7 @@ def _route_spread(u: np.ndarray, v: np.ndarray, ws=None) -> np.ndarray:
     return spread
 
 
-def _exact_sum(x: np.ndarray, ws=None) -> int:
+def _exact_sum(x: np.ndarray, ws) -> int:
     """Exact sum of nonnegative finite doubles, in units of 2**-1074.
 
     A double is m * 2**(k - 1075) with biased exponent k (1 for
@@ -235,12 +235,14 @@ def _exact_sum(x: np.ndarray, ws=None) -> int:
     stays below 2**53, so those float sums are exact.  The bins are then
     shifted into one Python int, whose sums are associative, so the total
     does not depend on how the values were split (Neal, "Fast exact
-    summation using small and large superaccumulators").  With a
-    workspace, the integer rows and the weights, cast to float64 first so
-    that bincount takes them as they are, live in rows of ws.
+    summation using small and large superaccumulators").  Four rows of
+    x's length are lent from ws: three hold the integer steps, and the
+    fourth the weights, cast to float64 first so that bincount takes
+    them as they are.
     """
     rows = _take(ws, 4)
-    exponent, mantissa, part = (None if row is None else row.view(np.int64) for row in rows[:3])
+    exponent, mantissa, part = (row.view(np.int64) for row in rows[:3])
+    weights = rows[3]
     bits = x.view(np.int64)
     # With the sign bit clear, bits = (k << 52) + fraction: subtracting
     # (k - 1) << 52 leaves the fraction plus the implicit bit for k >= 1,
@@ -248,21 +250,15 @@ def _exact_sum(x: np.ndarray, ws=None) -> int:
     k = np.maximum(np.right_shift(bits, 52, out=exponent), 1, out=exponent)
     shift = np.left_shift(np.subtract(k, 1, out=mantissa), 52, out=mantissa)
     m = np.subtract(bits, shift, out=mantissa)
-    lo = np.bincount(k, weights=_as_float(np.bitwise_and(m, 0x3FFFFFF, out=part), rows[3]))
-    hi = np.bincount(k, weights=_as_float(np.right_shift(m, 26, out=part), rows[3]))
+    np.copyto(weights, np.bitwise_and(m, 0x3FFFFFF, out=part))
+    lo = np.bincount(k, weights=weights)
+    np.copyto(weights, np.right_shift(m, 26, out=part))
+    hi = np.bincount(k, weights=weights)
     _give(ws, *rows)
     total = 0
     for e in np.flatnonzero(lo + hi).tolist():
         total += (int(hi[e]) << (e + 25)) + (int(lo[e]) << (e - 1))
     return total
-
-
-def _as_float(ints, row):
-    """The int64 array ints cast into the float64 row, or as they are without one."""
-    if row is None:
-        return ints
-    np.copyto(row, ints)
-    return row
 
 
 def _p99_low(n: int) -> int:
@@ -275,84 +271,87 @@ def _p99_low(n: int) -> int:
     return math.floor((n - 1) * 0.99) if n > 1 else -1
 
 
-def _p99_sorted(values: np.ndarray, trials: int | None = None) -> float:
-    """The 99th percentile of ascending values, as np.percentile(values, 99.0).
+class _Reduction:
+    """All that a sweep of ``trials`` spreads keeps of them, added a block of at most ``width`` at a time.
 
-    numpy's default linear method: the order statistics at
-    floor((n - 1) 0.99) and the one after it, interpolated in numpy's
-    rounding order, so the result is equal bit for bit.  A single value
-    takes numpy's index -1 and weight 1.  A NaN sorts last and makes the
-    percentile NaN, as in numpy.  Given ``trials``, values are only the
-    largest of that many, ascending; they must include the
-    n - max(_p99_low(n), 0) largest, which is all a sweep keeps.
-    """
-    n = len(values) if trials is None else trials
-    position = (n - 1) * 0.99
-    lo = _p99_low(n)
-    skipped = n - len(values)
-    a, b = values[lo - skipped], values[lo + 1 - skipped]
-    t = position - lo
-    gap = b - a
-    p99 = b - gap * (1.0 - t) if t >= 0.5 else a + gap * t
-    return math.nan if math.isnan(values[-1]) else float(p99)
+    The stripes share one reduction, and blocks may come in any order;
+    ``lock`` guards every attribute that add changes.  ``total`` is the exact sum of the
+    spreads in units of 2**-1074, a Python int, so the order of the adds
+    does not matter.  ``best`` is the (index, spread) that np.argmax
+    picks over all spreads: a NaN beats every number, a larger value a
+    smaller one, and of two equal values, or two NaNs, the smaller index
+    wins, whichever block comes first.
 
-
-class _Largest:
-    """The k largest values of all that are added, in a buffer of 2k + width doubles.
-
-    NaN counts as the largest, as np.sort puts it last.  ``floor`` is the
-    k-th largest value in the buffer when it was last cut back to k: a
-    later value no greater leaves the k largest values as they are, so
-    each block of at most ``width`` values appends only those above it.
-    Once the buffer holds more than 2k, an in-place partition cuts it
-    back to its k largest.  Each cut drops more than k values, so the
-    partitions cost O(1) per value added.  The k largest do not depend
-    on the order in which blocks are added.
+    ``buffer`` holds the p99 candidates, at least the k largest spreads
+    added, in 2k + width doubles, where k = trials - max(_p99_low(trials),
+    0).  NaN counts as the largest, as np.sort puts it last.  ``floor``
+    is the k-th largest value in the buffer when it was last cut back to
+    k: a later value no greater leaves the k largest as they are, so each
+    block appends only those above it.  Once the buffer holds more than
+    2k, an in-place partition cuts it back to its k largest.  Each cut
+    drops more than k values, so the partitions cost O(1) per value.
     """
 
-    def __init__(self, k: int, width: int):
-        self.k = k
-        self.buffer = np.empty(2 * k + width)
+    def __init__(self, trials: int, width: int):
+        self.trials = trials
+        self.k = trials - max(_p99_low(trials), 0)
+        self.buffer = np.empty(2 * self.k + width)
         self.size = 0
         self.floor = -math.inf
+        self.total = 0
+        self.best = self._rank = None
+        self.lock = threading.Lock()
 
-    def add(self, block, ws) -> None:
-        """Append the values of block that may be among the k largest; one row of ws is lent."""
+    def add(self, lo: int, spread: np.ndarray, ws) -> None:
+        """Reduce the spreads of the trials from index ``lo`` on; ws lends 4 rows, then 1.
+
+        The exact sum and the block's np.argmax run outside the lock.
+        """
+        total = _exact_sum(spread, ws)
+        worst = int(np.argmax(spread))
+        index, value = lo + worst, float(spread[worst])
+        nan = math.isnan(value)
+        # Tuples order as np.argmax does: NaN first, then value, then the smaller index.
+        rank = (nan, 0.0 if nan else value, -index)
         (row,) = _take(ws, 1)
-        keep = np.less_equal(block, self.floor, out=_bools(row))
-        np.logical_not(keep, out=keep)  # NaN compares false, so it is kept
-        size = self.size + int(np.count_nonzero(keep))
-        # np.compress allocates only the list of the indices it keeps.
-        np.compress(keep, block, out=self.buffer[self.size : size])
+        with self.lock:
+            self.total += total
+            if self.best is None or rank > self._rank:
+                self.best, self._rank = (index, value), rank
+            keep = np.less_equal(spread, self.floor, out=_bools(row))
+            np.logical_not(keep, out=keep)  # NaN compares false, so it is kept
+            size = self.size + int(np.count_nonzero(keep))
+            # np.compress allocates only the list of the indices it keeps.
+            np.compress(keep, spread, out=self.buffer[self.size : size])
+            if size > 2 * self.k:
+                # Elements size - k.. are now the k largest, the first the least of them.
+                self.buffer[:size].partition(size - self.k)
+                self.floor = float(self.buffer[size - self.k])
+                self.buffer[: self.k] = self.buffer[size - self.k : size]
+                size = self.k
+            self.size = size
         _give(ws, row)
-        if size > 2 * self.k:
-            # Elements size - k.. are now the k largest, the first the least of them.
-            self.buffer[:size].partition(size - self.k)
-            self.floor = float(self.buffer[size - self.k])
-            self.buffer[: self.k] = self.buffer[size - self.k : size]
-            size = self.k
-        self.size = size
 
-    def top(self) -> np.ndarray:
-        """The k largest values added, or all of them if fewer, ascending, in place."""
-        values = self.buffer[: self.size]
-        start = max(self.size - self.k, 0)
-        if start:
-            values.partition(start)
-        top = values[start:]
-        top.sort()
-        return top
+    def p99(self) -> float:
+        """np.percentile(spreads, 99.0) of all ``trials`` spreads, once all are added, bit for bit.
 
-
-def _first_max(best, index: int, value: float):
-    """(index, value) of the largest value as np.argmax picks it, given best so far.
-
-    Candidates come in increasing index order, so a tie keeps the
-    earlier one, and the first NaN beats every number.
-    """
-    if best is None or value > best[1] or (math.isnan(value) and not math.isnan(best[1])):
-        return index, value
-    return best
+        numpy's default linear method takes the order statistics at
+        lo = _p99_low(trials) and the one after it: the least two of the
+        k largest, or the one value of a single trial, which takes
+        numpy's index -1 and weight 1.  They are interpolated in numpy's
+        rounding order.  A NaN sorts last and makes the percentile NaN.
+        Partitions the buffer in place.
+        """
+        n, size = self.trials, self.size
+        values = self.buffer[:size]
+        a_at, b_at = size - self.k, min(size - self.k + 1, size - 1)
+        values.partition([a_at, b_at, size - 1])
+        a, b = values[a_at], values[b_at]
+        lo = _p99_low(n)
+        t = (n - 1) * 0.99 - lo
+        gap = b - a
+        p99 = b - gap * (1.0 - t) if t >= 0.5 else a + gap * t
+        return math.nan if math.isnan(values[-1]) else float(p99)
 
 
 def _thread_count(blocks: int) -> int:
@@ -364,37 +363,32 @@ def _thread_count(blocks: int) -> int:
     return max(1, min(cpus, blocks, _MAX_THREADS))
 
 
-def _run_stripes(keys, regimes, trials: int, threads: int):
-    """Run every block; return the exact sum of the spreads, the worst (index, spread) and the p99.
+def _run_stripes(keys, regimes, trials: int, threads: int) -> _Reduction:
+    """Run every block and return the sweep's one _Reduction of the spreads.
 
     Stripe t runs blocks t, t + threads, t + 2 threads, ...: stripe 0 on
     the calling thread, the others on their own threads, all of which are
     joined before this returns or raises.  Every stripe checks ``stop``
     before each block; the first exception a stripe raises sets it, and
-    is re-raised here as the same object.
+    is re-raised here as the same object.  Each block hands its spreads
+    to the reduction in one add.
 
     Each stripe owns one workspace, allocated here before any block
     runs: row 0 holds the block's indices, rows 1-16 the sampler's output
     and scratch, and rows 7 onwards, once the sampler is done, the free
     rows of the route kernels, which take over rows 1-6 as well once the
-    density entries are formed, then of the exact sum and the p99
-    candidates.  The workspaces of all stripes are one array: freed, one
-    allocation of that size lets a warm process take the next sweep's
-    from pages it already has, where one per stripe was mapped afresh,
-    about 1000 minor faults a 1e5-trial sweep.
-
-    Each block reduces its own spreads: its exact sum, a Python int,
-    adds to the stripe's, so the total does not depend on how blocks or
-    stripes are merged; its np.argmax is merged in index order; and its
-    values that may be among the k largest go to the sweep's one
-    _Largest, which the stripes share under ``lock``.
+    density entries are formed, then of the reduction.  The workspaces
+    of all stripes are one array: freed, one allocation of that size
+    lets a warm process take the next sweep's from pages it already has,
+    where one per stripe was mapped afresh, about 1000 minor faults a
+    1e5-trial sweep.
     """
-    k = trials - max(_p99_low(trials), 0)
     width = min(_BLOCK, trials)
     try:
         workspaces = np.empty((threads, _WORKSPACE_ROWS, width))
-        largest = _Largest(k, width)
+        reduction = _Reduction(trials, width)
     except MemoryError:
+        k = trials - max(_p99_low(trials), 0)
         nbytes = 8 * (threads * _WORKSPACE_ROWS * width + 2 * k + width)
         raise ValueError(
             f"trials={trials} needs {nbytes} bytes for the sweep workspaces and p99 candidates, "
@@ -402,8 +396,6 @@ def _run_stripes(keys, regimes, trials: int, threads: int):
         ) from None
     step = threads * _BLOCK
     stop = threading.Event()
-    lock = threading.Lock()
-    results = [(0, None)] * threads
     errors = []
 
     def stripe(t):
@@ -411,21 +403,14 @@ def _run_stripes(keys, regimes, trials: int, threads: int):
             rows = workspaces[t]
             indices = rows[0].view(np.uint64)
             indices[:] = np.arange(t * _BLOCK, t * _BLOCK + width, dtype=np.uint64)
-            total, best = 0, None
             for lo in range(t * _BLOCK, trials, step):
                 if stop.is_set():
                     return
                 block = rows[:, : min(_BLOCK, trials - lo)]
                 w = _sample_streams(keys, regimes, indices[: block.shape[1]], block[1:17])
                 ws = list(block[7:])
-                spread = _route_spread(w[0].T, w[1].T, ws)
-                total += _exact_sum(spread, ws)
-                worst = int(np.argmax(spread))
-                best = _first_max(best, lo + worst, float(spread[worst]))
-                with lock:
-                    largest.add(spread, ws)
+                reduction.add(lo, _route_spread(w[0].T, w[1].T, ws), ws)
                 indices += np.uint64(step)
-            results[t] = (total, best)
         except BaseException as exc:
             errors.append(exc)
             stop.set()
@@ -445,11 +430,7 @@ def _run_stripes(keys, regimes, trials: int, threads: int):
             thread.join()
     if errors:
         raise errors[0]
-
-    best = None
-    for index, value in sorted(best for _, best in results if best is not None):
-        best = _first_max(best, index, value)
-    return sum(total for total, _ in results), best, _p99_sorted(largest.top(), trials)
+    return reduction
 
 
 def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
@@ -462,10 +443,11 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
     in fixed index blocks, striped over one thread per usable CPU (from
     the CPU affinity, at most four; one block runs serially), and each
     block draws both of its states in one sampler pass under those keys.
-    No per-trial array is kept: each block reduces its own spreads, and
-    the reductions merge exactly, so the output is identical for any
-    block partition and any thread count.  The mean is the exact sum of
-    the spreads rounded once, equal to ``math.fsum(spreads) / trials``;
+    No per-trial array is kept: each block adds its spreads to the
+    sweep's one reduction, which its threads share, and whose result
+    does not depend on the order of the adds, so the output is identical
+    for any block partition and any thread count.  The mean is the exact
+    sum of the spreads rounded once, equal to ``math.fsum(spreads) / trials``;
     the worst pair is the first maximum, as ``np.argmax`` picks it over
     all spreads, and its states are drawn again under the same keys; the
     p99 is numpy's linear-method percentile of the k = trials - floor(
@@ -488,10 +470,11 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
 
     keys = _stream_keys(seed, (0, 1))
     blocks = -(-trials // _BLOCK)
-    total, (worst, max_diff), p99 = _run_stripes(keys, regimes, trials, _thread_count(blocks))
+    reduction = _run_stripes(keys, regimes, trials, _thread_count(blocks))
+    worst, max_diff = reduction.best
     # Integer division is correctly rounded: this is math.fsum(spreads) / trials,
     # which is the largest spread itself once that is NaN or infinite.
-    mean = total / (1 << 1074) / trials if math.isfinite(max_diff) else max_diff
+    mean = reduction.total / (1 << 1074) / trials if math.isfinite(max_diff) else max_diff
     worst_u, worst_v = _sample_streams(keys, regimes, np.uint64([worst]))[:, :, 0].tolist()
 
     return SweepSummary(
@@ -501,7 +484,7 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
         regime_v=regime_v,
         max_diff=max_diff,
         mean_diff=mean,
-        p99_diff=p99,
+        p99_diff=reduction.p99(),
         worst_u=tuple(worst_u),
         worst_v=tuple(worst_v),
         worst_index=worst,

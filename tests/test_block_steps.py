@@ -147,7 +147,7 @@ def _matrix_tail_reference(lo, hi, r1, r2):
     det_product = _ball_gap_reference(r1) * _ball_gap_reference(r2) / 16.0
     lam_minus = np.where(hi > 0.0, det_product / np.where(hi > 0.0, hi, 1.0), 0.0)
     t = np.sqrt(np.maximum(hi, 0.0)) + np.sqrt(lam_minus)
-    return _clamp_unit_reference(t * t, "bures fidelity")
+    return _clamp_unit_reference(t * t, "matrix-route fidelity")
 
 
 _eigenvalues = st.one_of(
@@ -294,8 +294,8 @@ def test_exact_sum_mantissa_equals_reference(values):
     # One value at a time, the sum is its mantissa shifted by its exponent.
     x = np.array(values)
     for i in range(len(values)):
-        assert verify._exact_sum(x[i : i + 1]) == _exact_sum_reference(x[i : i + 1])
-    assert verify._exact_sum(x) == _exact_sum_reference(x)
+        assert verify._exact_sum(x[i : i + 1], list(np.empty((4, 1)))) == _exact_sum_reference(x[i : i + 1])
+    assert verify._exact_sum(x, list(np.empty((4, len(x))))) == _exact_sum_reference(x)
 
 
 @pytest.mark.parametrize("regime_v", REGIMES)
@@ -330,5 +330,5 @@ def test_workspace_rows_give_the_same_bits(regime_u, regime_v):
     spread = verify._route_spread(w[0].T, w[1].T, pool)
     assert len(pool) == len(rows) - 7 + 6 - 1
     assert np.array_equal(_bits(spread), _bits(expected[3]))
-    assert verify._exact_sum(spread, pool) == verify._exact_sum(expected[3])
+    assert verify._exact_sum(spread, pool) == _exact_sum_reference(expected[3])
     assert len(pool) == len(rows) - 7 + 6 - 1

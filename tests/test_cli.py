@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
-from buresgeo import cli
+from buresgeo import cli, measures
+from buresgeo.measures import _RouteError
 
 GOLDEN_FIDELITY = (
     '{"schema_version":"1","command":"fidelity",'
@@ -321,6 +322,31 @@ class TestVerifyCommand:
         assert result["worst_u"] == list(u)
 
 
+class TestRouteFault:
+    """A route's own consistency check failing is a verification failure, not a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--trials", "100", "--regime-u", "near_mixed", "--regime-v", "near_mixed"),
+            ("fidelity", "--u=0,0,0", "--v=0,0,0"),
+        ],
+    )
+    def test_route_fault_exits_one(self, capsys, monkeypatch, argv):
+        # 1 - r^2 scaled by 1.001 puts the closed route's fidelity of mixed
+        # enough states above 1, which its clamp to [0, 1] refuses.
+        real = measures._one_minus_square
+
+        def scaled(r, ws=None):
+            gap = real(r, ws)
+            return gap * 1.001 if ws is None else np.multiply(gap, 1.001, out=gap)
+
+        monkeypatch.setattr(measures, "_one_minus_square", scaled)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert re.fullmatch(r"verification failed: closed-route fidelity \S+ lies outside \[0, 1\]\n", err), err
+
+
 class TestNegativeComponents:
     """A separate value such as -0.1,0.2,0.3 is read as the flag's value."""
 
@@ -565,7 +591,10 @@ def oracle_main(argv) -> int:
         return cli.EXIT_OK if exc.code in (0, None) else cli.EXIT_USAGE
     try:
         return args.handler(args)
-    except cli._UsageError as exc:
+    except _RouteError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return cli.EXIT_FAILED
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cli.EXIT_USAGE
 

@@ -383,7 +383,7 @@ class TestReductions:
 
     def test_memory_does_not_grow_with_trials(self):
         # A per-trial spread array would add 7.2 MB from 1e5 to 1e6 trials;
-        # the p99 candidates add 16 B per extra candidate and thread.
+        # the p99 candidates add 16 B per extra candidate, in the sweep's one buffer.
         def peak(trials):
             tracemalloc.start()
             try:
@@ -395,6 +395,30 @@ class TestReductions:
         assert peak(10**6) - peak(10**5) < 2**20
 
 
+def _reduce(x, bounds, order, check=None):
+    """x reduced by one _Reduction, its blocks x[bounds[i]:bounds[i + 1]] added in the given order.
+
+    Each add gets a fresh copy of its block and 5 lent rows, as a stripe
+    lends them.  check, if given, runs after each add with the values
+    added so far.
+    """
+    blocks = list(zip(bounds, bounds[1:]))
+    reduction = verify._Reduction(len(x), max(hi - lo for lo, hi in blocks))
+    added = []
+    for lo, hi in (blocks[i] for i in order):
+        reduction.add(lo, x[lo:hi].copy(), list(np.empty((5, hi - lo))))
+        added.append(x[lo:hi])
+        if check:
+            check(reduction, np.concatenate(added))
+    return reduction
+
+
+def _floor_below_kth(reduction, added):
+    # The floor never passes the k-th largest value added so far.
+    kth = np.sort(added)[-reduction.k] if len(added) >= reduction.k else -math.inf
+    assert not reduction.floor > kth
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     values=st.lists(
@@ -402,26 +426,23 @@ class TestReductions:
         min_size=1,
         max_size=300,
     ),
-    k=st.integers(1, 40),
-    cuts=st.lists(st.integers(0, 300), max_size=8),
+    # Copies of the values: ties, and k up to 37 candidates at 3600 values.
+    copies=st.integers(1, 12),
+    cuts=st.lists(st.integers(0, 3600), max_size=8),
     data=st.data(),
 )
-def test_largest_keeps_the_k_largest(values, k, cuts, data):
-    # Stripes share one buffer, so blocks arrive in any order.
-    x = np.array(values)
-    k = min(k, len(x))
+def test_reduction_equals_one_array(values, copies, cuts, data):
+    # Stripes share one reduction, so blocks arrive in any order.
+    x = np.tile(values, copies)
     bounds = sorted({0, len(x), *(min(c, len(x)) for c in cuts)})
-    blocks = [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    order = data.draw(st.permutations(range(len(blocks))))
-    largest = verify._Largest(k, max(map(len, blocks)))
-    added = np.empty(0)
-    for i in order:
-        largest.add(blocks[i].copy(), list(np.empty((1, len(blocks[i])))))
-        added = np.concatenate([added, blocks[i]])
-        # The floor never passes the k-th largest value added so far.
-        kth = np.sort(added)[-k] if len(added) >= k else -math.inf
-        assert not largest.floor > kth
-    assert repr(largest.top().tolist()) == repr(np.sort(x)[-k:].tolist())
+    order = data.draw(st.permutations(range(len(bounds) - 1)))
+    reduction = _reduce(x, bounds, order, _floor_below_kth)
+    worst = int(np.argmax(x))
+    assert repr(reduction.best) == repr((worst, float(x[worst])))
+    with np.errstate(invalid="ignore"):  # inf - inf in the interpolation, as in numpy's
+        assert repr(reduction.p99()) == repr(float(np.percentile(x, 99.0)))
+    if np.isfinite(x).all():
+        assert repr(reduction.total / (1 << 1074)) == repr(math.fsum(x))
 
 
 _SPECIAL = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.0, 1e-300, 1e300]
@@ -443,12 +464,12 @@ def test_exact_block_sum_equals_fsum(values, cuts):
     x = np.array(values)
     assert not np.signbit(x).any()
     bounds = sorted({0, len(values), *(min(c, len(values)) for c in cuts)})
-    total = sum(verify._exact_sum(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    total = sum(verify._exact_sum(x[lo:hi], list(np.empty((4, hi - lo)))) for lo, hi in zip(bounds, bounds[1:]))
     assert repr(total / (1 << 1074)) == repr(math.fsum(values))
 
 
 def _p99_cases():
-    """Nonnegative like the spreads: ties, zeros, subnormals and plain draws, then NaN."""
+    """Nonnegative like the spreads: ties, zeros, subnormals and plain draws, then NaN and a halfway case."""
     rng = np.random.default_rng(99)
     for n in [*range(1, 2001), 16383, 16385, 100_000]:
         yield rng.random(n) * 1e-15
@@ -457,10 +478,15 @@ def _p99_cases():
         yield rng.integers(0, 5, n) * 5e-324 + rng.integers(0, 2, n) * 2.2250738585072014e-308
     yield np.array([np.nan])
     yield np.array([0.0, np.nan, *rng.random(300)])
+    # At 51 values the position sits exactly halfway, t = 0.5, where numpy
+    # interpolates from the upper value; from the lower one these two round apart.
+    yield np.array([0.0] * 49 + [0.0005118216247002568, 0.9504636963259353])
 
 
 def test_p99_equals_numpy_percentile():
+    rng = np.random.default_rng(7)
     for x in _p99_cases():
         expected = repr(float(np.percentile(x, 99.0)))
-        x.sort()
-        assert repr(verify._p99_sorted(x)) == expected, len(x)
+        bounds = sorted({0, len(x), *rng.integers(0, len(x) + 1, 3).tolist()})
+        reduction = _reduce(x, bounds, rng.permutation(len(bounds) - 1))
+        assert repr(reduction.p99()) == expected, len(x)
