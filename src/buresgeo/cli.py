@@ -2,24 +2,29 @@
 
 Every successful command writes exactly one machine-readable envelope to
 stdout (JSON, or CSV where the triangle command is asked for it) and all
-diagnostics to stderr.  Exit codes: 0 success, 1 verification or
-consistency failure, 2 usage error.  Exit 1 also covers a route's own
-consistency check (a fidelity outside [0, 1], a negative eigenvalue)
-failing inside ``fidelity`` or ``verify``: stderr then gets one
-``verification failed:`` line and stdout stays empty.  Any other
+diagnostics to stderr.  Each command only computes: it returns its
+result and any failure line, and main alone writes them, the JSON
+envelope built in one place with the parsed arguments as its inputs.
+Exit codes: 0 success, 1 verification or consistency failure, 2 usage
+error, 141 stdout closed before the envelope was written (128 + SIGPIPE;
+stderr gets one ``error:`` line and no traceback).  Exit 1 also covers a
+route's own consistency check (a fidelity outside [0, 1], a negative
+eigenvalue) failing inside ``fidelity`` or ``verify``: stderr then gets
+one ``verification failed:`` line and stdout stays empty.  Any other
 ValueError a command raises is a usage error.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
 from . import verify as verify_mod
 from .hyperbolic import _polyline_count, _polylines, _triangle
 from .measures import _RouteError
-from .qubit import REGIMES, _in_ball, np
+from .qubit import REGIMES, _in_ball
 
 __all__ = ["main"]
 
@@ -27,6 +32,8 @@ SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+# 128 + SIGPIPE: what a shell reports for a writer whose reader has stopped.
+EXIT_PIPE = 141
 
 # A spread among routes beyond this is reported as an internal
 # inconsistency (it should never fire; the verified bound is 1e-10).
@@ -79,17 +86,6 @@ def _emit(value) -> str:
     return json.dumps(value)
 
 
-def _envelope(command: str, inputs: dict, result: dict) -> str:
-    return _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "inputs": inputs,
-            "result": result,
-        }
-    )
-
-
 def _csv(lines) -> str:
     """The triangle's polylines, lists of (x, y) per edge in _EDGES order, as CSV rows.
 
@@ -102,86 +98,61 @@ def _csv(lines) -> str:
     return "\n".join(rows)
 
 
-def _parse_triple(text: str, flag: str):
-    """The Bloch vector in text, validated once, as a tuple of three floats, and its norm, a float."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{flag} expects three comma-separated reals, got {text!r}")
+def _flagged(flag: str, check, value):
+    """check(value), with flag put in front of the message of a ValueError it raises."""
     try:
-        values = tuple([float(p) for p in parts])
-    except ValueError:
-        raise ValueError(f"{flag} expects three comma-separated reals, got {text!r}") from None
-    try:
-        return _in_ball(values)
+        return check(value)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def _cmd_fidelity(args) -> int:
-    u, ru = _parse_triple(args.u, "--u")
-    v, rv = _parse_triple(args.v, "--v")
-    report = verify_mod._compare(u, ru, v, rv)
+def _parse_triple(text: str, flag: str):
+    """The Bloch vector in text, validated once, as a tuple of three floats, and its norm, a float."""
+    try:
+        x, y, z = [float(p) for p in text.split(",")]  # a wrong count fails to unpack
+    except ValueError:
+        raise ValueError(f"{flag} expects three comma-separated reals, got {text!r}") from None
+    return _flagged(flag, _in_ball, (x, y, z))
+
+
+def _cmd_fidelity(args):
+    args.u, ru = _parse_triple(args.u, "--u")
+    args.v, rv = _parse_triple(args.v, "--v")
+    report = verify_mod._compare(args.u, ru, args.v, rv)
     result = report._asdict()
     result["regime_flags"] = sorted(report.regime_flags)
-    print(_envelope("fidelity", {"u": report.u, "v": report.v, "format": args.format}, result))
     # Written so that a NaN spread fails too.
     if not report.max_pairwise_diff <= ROUTE_DISAGREEMENT:
-        print(
+        return result, (
             f"theorem violation: routes disagree by {report.max_pairwise_diff:.3e} "
-            f"(> {ROUTE_DISAGREEMENT:.0e})",
-            file=sys.stderr,
+            f"(> {ROUTE_DISAGREEMENT:.0e})"
         )
-        return EXIT_FAILED
-    return EXIT_OK
+    return result, None
 
 
-def _cmd_triangle(args) -> int:
-    u, ru = _parse_triple(args.u, "--u")
-    v, rv = _parse_triple(args.v, "--v")
-    tri = _triangle(np.array(u), ru, np.array(v), rv)
-    try:
-        count = _polyline_count(args.samples_per_edge)
-    except ValueError as exc:
-        raise ValueError(f"--samples-per-edge: {exc}") from None
+def _cmd_triangle(args):
+    args.u, ru = _parse_triple(args.u, "--u")
+    args.v, rv = _parse_triple(args.v, "--v")
+    tri = _triangle(args.u, ru, args.v, rv)
+    count = _flagged("--samples-per-edge", _polyline_count, args.samples_per_edge)
     ends = [(complex(*getattr(tri, start)), complex(*getattr(tri, end))) for _, start, end in _EDGES]
     lines = _polylines(ends, count)
-
     if args.format == "csv":
-        print(_csv(lines.tolist()))
-        return EXIT_OK
-
+        return _csv(lines.tolist()), None
     result = tri._asdict()
     result["polylines"] = {name: _polyline_json(line) for (name, _, _), line in zip(_EDGES, lines)}
-    inputs = {
-        "u": list(u),
-        "v": list(v),
-        "samples_per_edge": args.samples_per_edge,
-        "format": args.format,
-    }
-    print(_envelope("triangle", inputs, result))
-    return EXIT_OK
+    return result, None
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if not args.tolerance > 0.0:
         raise ValueError("--tolerance must be positive")
     summary = verify_mod.sweep(args.seed, args.trials, args.regime_u, args.regime_v)
-    inputs = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "regime_u": args.regime_u,
-        "regime_v": args.regime_v,
-        "tolerance": args.tolerance,
-    }
-    print(_envelope("verify", inputs, summary._asdict()))
     if not summary.max_diff <= args.tolerance:  # a NaN spread fails too
-        print(
-            f"verification failed: max_diff {summary.max_diff:.3e} > tolerance "
-            f"{args.tolerance:.3e}",
-            file=sys.stderr,
+        return summary._asdict(), (
+            f"verification failed: max_diff {summary.max_diff:.3e} > tolerance {args.tolerance:.3e}"
         )
-        return EXIT_FAILED
-    return EXIT_OK
+    return summary._asdict(), None
 
 
 @functools.cache
@@ -241,27 +212,60 @@ def _join_vector_flags(argv) -> list:
     return out
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser()
-    # A known command's arguments go to that command's parser alone, one
-    # parse instead of two, and it reports their errors under its own
-    # usage line; no argv, -h or an unknown command goes to the top level.
-    if argv and argv[0] in parser.commands:
-        parser, argv = parser.commands[argv[0]], argv[1:]
+def _respond(command: str, args) -> int:
+    """Run the parsed request of ``command`` and write its output; return the exit code.
+
+    The handler returns (result, failure): the record as a dict, or the
+    CSV text, and None or its one stderr line.  The envelope's inputs are
+    args without the handler, after the handler has stored its validated
+    vectors back in them.  This is the one place that writes stdout.
+    """
+    inputs = vars(args)
+    handler = inputs.pop("handler")
     try:
-        args = parser.parse_args(_join_vector_flags(argv))
-    except SystemExit as exc:
-        # argparse has already written its diagnostic; fold --help to 0.
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return args.handler(args)
+        result, failure = handler(args)
     except _RouteError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if type(result) is not str:
+        result = _emit({"schema_version": SCHEMA_VERSION, "command": command, "inputs": inputs, "result": result})
+    try:
+        sys.stdout.write(result + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Python's flush at exit would fail again and
+        # print "Exception ignored": stdout's descriptor is pointed at
+        # os.devnull instead, as the signal module's documentation advises.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the envelope was written", file=sys.stderr)
+        return EXIT_PIPE
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return EXIT_FAILED
+    return EXIT_OK
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    # A known command's arguments go to that command's parser alone, one
+    # parse instead of two, and it reports their errors under its own
+    # usage line; no argv, -h or an unknown command goes to the top level,
+    # which never returns a request: it prints help or a usage error.
+    command = argv[0] if argv else None
+    if command in parser.commands:
+        parser, argv = parser.commands[command], argv[1:]
+    try:
+        args = parser.parse_args(_join_vector_flags(argv))
+    except SystemExit as exc:
+        # argparse has already written its diagnostic; fold --help to 0.
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    return _respond(command, args)
 
 
 if __name__ == "__main__":

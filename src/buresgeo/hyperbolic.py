@@ -177,26 +177,36 @@ def einstein_add(u, v) -> np.ndarray:
 
     Not commutative, but |u (+) v| = |v (+) u|.  Requires |u| < 1 so the
     Lorentz factor g_u is finite, and 1 + u.v > 1e-15 (the antipodal
-    pure limit has no well-defined sum).
+    pure limit has no well-defined sum).  Takes Bloch vectors of shape
+    (..., 3) and returns the sums as a float array of that shape, the
+    components _einstein_add gives stacked on the last axis.
     """
     u, ru = _checked_bloch(u)
     v, _ = _checked_bloch(v)
     if np.any(ru >= 1.0):
         raise ValueError("left operand of einstein_add must lie strictly inside the ball")
-    return _einstein_add(u, v, _gamma(ru), _dot3(u, v))[0]
+    return np.stack(_einstein_add(u, v, _gamma(ru), _dot3(u, v))[0], axis=-1)
 
 
 def _einstein_add(u, v, gu, dot):
-    """Einstein-sum kernel from the operands, the Lorentz factor g_u of u and u.v; returns (w, |w|)."""
+    """Einstein-sum kernel from the operands, the Lorentz factor g_u of u and u.v; returns (w, |w|).
+
+    Runs one component at a time, so it takes either form: u and v as
+    arrays of shape (..., 3) with g_u and u.v of shape (...), and w comes
+    back as a tuple of its three component arrays; or one pair on the
+    float path, each vector a tuple of three Python floats with g_u and
+    u.v floats, and w comes back as a tuple of three floats.  |w| is of
+    the shape, or the type, of u.v.  Both forms give the same bits.
+    """
     denom = 1.0 + dot
-    if np.any(denom <= 1e-15):
+    if (denom <= 1e-15) if type(denom) is float else np.any(denom <= 1e-15):
         raise ValueError("antipodal pure limit: 1 + u.v vanishes")
-    gu = np.asarray(gu)  # a float from _triangle, which runs on the norms as floats
-    w = (u + v / gu[..., None] + (gu / (1.0 + gu) * dot)[..., None] * u) / denom[..., None]
+    scale = gu / (1.0 + gu) * dot
+    w = tuple((a + b / gu + scale * a) / denom for a, b in zip(_xyz(u), _xyz(v)))
     # Rounding may land an ulp outside the closed ball; pull back into it.
-    rw = _norm3(*_xyz(w))
+    rw = _norm3(*w)
     over = rw > 1.0
-    return _pull_back(w, rw, over) if over.any() else (w, rw)
+    return _pull_back(w, rw, over) if (over if type(rw) is float else over.any()) else (w, rw)
 
 
 def gamma_composition(u, v):
@@ -412,16 +422,16 @@ def triangle(u, v) -> HyperbolicTriangle:
     v, rv = _checked_bloch(v)
     if u.shape != (3,) or v.shape != (3,):
         raise ValueError("triangle takes a single pair of Bloch vectors")
-    return _triangle(u, ru, v, rv)
+    return _triangle(tuple(u.tolist()), float(ru), tuple(v.tolist()), float(rv))
 
 
 def _triangle(u, ru, v, rv) -> HyperbolicTriangle:
-    """triangle of trusted Bloch vectors u, v of shape (3,) and their norms.
+    """triangle of trusted Bloch vectors u, v, each a tuple of three Python floats, and their float norms.
 
-    Still raises ValueError for norms outside (DEGENERATE_NORM, PURE_NORM].
+    The kernels run on Python floats, as in verify._compare, and every
+    field is a float or a tuple of floats.  Still raises ValueError for
+    norms outside (DEGENERATE_NORM, PURE_NORM].
     """
-    ru = float(ru)
-    rv = float(rv)
     if ru <= DEGENERATE_NORM or rv <= DEGENERATE_NORM:
         raise ValueError(
             f"degenerate input: |u| = {ru:.3e}, |v| = {rv:.3e}; directions below "
@@ -434,10 +444,10 @@ def _triangle(u, ru, v, rv) -> HyperbolicTriangle:
     phi_v = math.atanh(rv)
     dot = _dot3(u, v)
     gu, gv, gw = _law_of_cosines(dot, ru, rv)
-    cos_hat = float(dot) / (ru * rv)
+    cos_hat = dot / (ru * rv)
     angle_a = math.pi - math.acos(min(1.0, max(-1.0, cos_hat)))
 
-    rw = float(_einstein_add(u, v, gu, dot)[1])
+    rw = _einstein_add(u, v, gu, dot)[1]
     # artanh is accurate for moderate |w| but saturates near the rim,
     # where arccosh of the composed Lorentz factor takes over.
     phi_w = math.atanh(rw) if rw <= 0.9 else math.acosh(max(gw, 1.0))

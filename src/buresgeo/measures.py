@@ -68,7 +68,15 @@ _EXACT_PURE_NORM = 1.0 - _SPHERE_BAND
 
 
 class _RouteError(ValueError):
-    """A route's own consistency check failed on trusted inputs: a fault in the computation, not a usage error."""
+    """A route's own consistency check failed on trusted inputs: a fault in the computation, not a usage error.
+
+    ``index`` is the flat index, in C order, of the first failing value in
+    the batch that was checked, or 0 for one value.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class LambdaRoots(NamedTuple):
@@ -89,21 +97,24 @@ def _clamp_unit(x, what: str, out=None):
     A batch is checked through its extremes:
     fmin and fmax skip NaN, as the comparisons do, so a batch raises
     exactly when one of its values lies out of range, and the mask that
-    finds the first such value, in C order, is built only then.  A
-    batch is clipped into ``out``, x's own workspace row, when given.
+    finds the first such value, in C order, is built only then; the
+    error carries that value's flat index.  A batch is clipped into
+    ``out``, x's own workspace row, when given.
     """
     one = type(x) is float
+    index = 0
     if not one:
         x = np.asarray(x)
         if x.ndim:
             low, high = np.fmin.reduce(x, None, initial=np.inf), np.fmax.reduce(x, None, initial=-np.inf)
-            if low < -UNIT_SLACK or high > 1.0 + UNIT_SLACK:
-                # The first value out of range, alone, raises with the one-value message.
-                _clamp_unit(x[(x < -UNIT_SLACK) | (x > 1.0 + UNIT_SLACK)][0], what)
-            return np.clip(x, 0.0, 1.0, out=out)[()]
+            if not (low < -UNIT_SLACK or high > 1.0 + UNIT_SLACK):
+                return np.clip(x, 0.0, 1.0, out=out)[()]
+            # The first value out of range, alone, raises below with the one-value message.
+            index = int(np.flatnonzero((x < -UNIT_SLACK) | (x > 1.0 + UNIT_SLACK))[0])
+            x = x.flat[index]
     value = float(x)
     if value < -UNIT_SLACK or value > 1.0 + UNIT_SLACK:
-        raise _RouteError(f"{what} {value!r} lies outside [0, 1]")
+        raise _RouteError(f"{what} {value!r} lies outside [0, 1]", index)
     value = min(max(value, 0.0), 1.0)
     return value if one else np.float64(value)
 
@@ -209,7 +220,8 @@ def _matrix_fidelity(rho1, rho2, ws=None):
     one = type(lo) is float or lo.ndim == 0
     if (float(lo) if one else np.fmin.reduce(lo, None, initial=np.inf)) < -_PSD_SLACK:
         raise _RouteError(
-            f"sqrt(rho1) rho2 sqrt(rho1) has eigenvalue {float(np.min(lo)):.3e} < -1e-10"
+            f"sqrt(rho1) rho2 sqrt(rho1) has eigenvalue {float(np.min(lo)):.3e} < -1e-10",
+            0 if one else int(np.flatnonzero(lo < -_PSD_SLACK)[0]),
         )
     _give(ws, *product, lo)
     bloch2 = _bloch_of_entries(*rho2, ws)

@@ -21,7 +21,7 @@ import time
 from typing import NamedTuple
 
 from .hyperbolic import _hyperbolic_fidelity
-from .measures import _closed_fidelity, _matrix_fidelity, _trace_distance
+from .measures import _closed_fidelity, _matrix_fidelity, _RouteError, _trace_distance
 from .qubit import (
     NEAR_MIXED_BAND,
     NEAR_PURE_BAND,
@@ -370,8 +370,9 @@ def _run_stripes(keys, regimes, trials: int, threads: int) -> _Reduction:
     the calling thread, the others on their own threads, all of which are
     joined before this returns or raises.  Every stripe checks ``stop``
     before each block; the first exception a stripe raises sets it, and
-    is re-raised here as the same object.  Each block hands its spreads
-    to the reduction in one add.
+    is re-raised here as the same object; a _RouteError's index, within
+    its block, is first moved on to the trial's own.  Each block hands its
+    spreads to the reduction in one add.
 
     Each stripe owns one workspace, allocated here before any block
     runs: row 0 holds the block's indices, rows 1-16 the sampler's output
@@ -409,7 +410,12 @@ def _run_stripes(keys, regimes, trials: int, threads: int) -> _Reduction:
                 block = rows[:, : min(_BLOCK, trials - lo)]
                 w = _sample_streams(keys, regimes, indices[: block.shape[1]], block[1:17])
                 ws = list(block[7:])
-                reduction.add(lo, _route_spread(w[0].T, w[1].T, ws), ws)
+                try:
+                    spread = _route_spread(w[0].T, w[1].T, ws)
+                except _RouteError as exc:
+                    exc.index += lo  # the trial of the block's first failing value
+                    raise
+                reduction.add(lo, spread, ws)
                 indices += np.uint64(step)
         except BaseException as exc:
             errors.append(exc)
@@ -462,6 +468,13 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
     the candidates take 0.29 MB at 1e6 trials, 1.7 MB at 1e7 and 687 MB
     at the cap of 2**32.  ``trials`` may not exceed 2**32; a larger
     count, or one whose buffers cannot be allocated, raises ValueError.
+
+    A route's own check failing on a trial raises _RouteError with the
+    route's message and the trial named after it, for example
+    ``closed-route fidelity 1.0004999384645075 lies outside [0, 1] (seed
+    0, near_mixed x near_mixed, trial 0)``; compare on that trial's pair,
+    drawn again with random_bloch_indexed, raises the same message.  With
+    several threads, the trial comes from whichever block failed first.
     """
     start = time.perf_counter()
     seed = _check_int(seed, "seed", 0, 2**64)
@@ -470,7 +483,10 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
 
     keys = _stream_keys(seed, (0, 1))
     blocks = -(-trials // _BLOCK)
-    reduction = _run_stripes(keys, regimes, trials, _thread_count(blocks))
+    try:
+        reduction = _run_stripes(keys, regimes, trials, _thread_count(blocks))
+    except _RouteError as exc:
+        raise _RouteError(f"{exc} (seed {seed}, {regime_u} x {regime_v}, trial {exc.index})", exc.index) from None
     worst, max_diff = reduction.best
     # Integer division is correctly rounded: this is math.fsum(spreads) / trials,
     # which is the largest spread itself once that is NaN or infinite.

@@ -7,8 +7,10 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from hypothesis import strategies as st
 
 import buresgeo as bg
 from buresgeo import cli, measures
-from buresgeo.measures import _RouteError
 
 GOLDEN_FIDELITY = (
     '{"schema_version":"1","command":"fidelity",'
@@ -344,7 +345,44 @@ class TestRouteFault:
         monkeypatch.setattr(measures, "_one_minus_square", scaled)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
-        assert re.fullmatch(r"verification failed: closed-route fidelity \S+ lies outside \[0, 1\]\n", err), err
+        # A sweep names the trial after the route's message; one pair adds nothing.
+        where = r" \(seed 0, near_mixed x near_mixed, trial \d+\)" if argv[0] == "verify" else ""
+        assert re.fullmatch(rf"verification failed: closed-route fidelity \S+ lies outside \[0, 1\]{where}\n", err), err
+
+
+SRC = str(Path(bg.__file__).resolve().parents[1])
+
+
+class TestClosedStdout:
+    """A reader gone before the envelope is written: exit 141 and one stderr line, no traceback.
+
+    Each command runs as ``python -m buresgeo.cli``, so the flush at
+    interpreter exit, which would print "Exception ignored", runs too.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fidelity", "--u", "0.5,0,0", "--v", "0,0.5,0"),
+            ("triangle", "--u", "0.5,0,0", "--v", "0,0.5,0"),
+            ("triangle", "--u", "0.5,0,0", "--v", "0,0.5,0", "--samples-per-edge", "4096", "--format", "csv"),
+            ("verify", "--trials", "100"),
+        ],
+        ids=" ".join,
+    )
+    def test_closed_pipe_exits_141_with_one_line(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "buresgeo.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == cli.EXIT_PIPE == 141
+        assert proc.stderr == "error: stdout closed before the envelope was written\n"
 
 
 class TestNegativeComponents:
@@ -589,14 +627,9 @@ def oracle_main(argv) -> int:
         args = cli._build_parser().parse_args(cli._join_vector_flags(argv))
     except SystemExit as exc:
         return cli.EXIT_OK if exc.code in (0, None) else cli.EXIT_USAGE
-    try:
-        return args.handler(args)
-    except _RouteError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return cli.EXIT_FAILED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return cli.EXIT_USAGE
+    # The top-level parse also stores the command's name; it is not an input.
+    command = vars(args).pop("command")
+    return cli._respond(command, args)
 
 
 OK_U, OK_V = "0.5,0,0", "0,0.5,0"

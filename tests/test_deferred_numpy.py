@@ -94,6 +94,7 @@ def test_import_binds_numpy_itself_when_it_is_loaded():
     for module in (bg.qubit, bg.measures, bg.hyperbolic, bg.verify):
         assert module.np is np
     assert sys.modules["numpy"] is np
+    assert "np" not in vars(cli)  # the CLI uses numpy nowhere; triangle's kernels hold it
 
 
 # Four threads make their first numpy-touching call at once, in a process

@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
-from buresgeo import cli, measures, verify
+from buresgeo import cli, hyperbolic, measures, verify
 from buresgeo.measures import _EXACT_PURE_NORM, _clamp_unit
 from buresgeo.qubit import (
     BALL_EPS,
@@ -29,7 +29,9 @@ from buresgeo.qubit import (
     REGIMES,
     _abs,
     _checked_bloch,
+    _dot3,
     _fmax,
+    _gamma,
     _in_ball,
     _maximum,
     _minimum,
@@ -391,3 +393,50 @@ def test_cli_pair_reports_what_compare_reports(u, v, identical):
         assert (a is None) == (b is None), name
         if a is not None:
             assert [_bits(x) for x in np.ravel(a)] == [_bits(x) for x in np.ravel(b)], name
+
+
+# ---------------------------------------------------------------------------
+# The Einstein sum: one kernel, component by component, on floats and arrays.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("regime_v", REGIMES)
+@pytest.mark.parametrize("regime_u", [regime for regime in REGIMES if regime != "pure"])  # g_u is finite
+def test_einstein_sum_of_one_pair_is_its_row_of_the_batch(monkeypatch, regime_u, regime_v):
+    real, pulled = hyperbolic._pull_back, []
+
+    def counted(n, r, over):
+        pulled.append(over)
+        return real(n, r, over)
+
+    monkeypatch.setattr(hyperbolic, "_pull_back", counted)
+    indices = np.arange(300)
+    u, ru = _checked_bloch(bg.random_bloch_indexed(7, regime_u, indices, stream=0))
+    drawn, _ = _checked_bloch(bg.random_bloch_indexed(7, regime_v, indices, stream=1))
+    for v in (drawn, -0.7 * u):
+        w, rw = hyperbolic._einstein_add(u, v, _gamma(ru), _dot3(u, v))
+        assert type(w) is tuple and len(w) == 3
+        assert np.array_equal(bg.einstein_add(u, v).view(np.uint64), np.stack(w, axis=-1).view(np.uint64))
+        del pulled[:]
+        for i in range(len(indices)):
+            one_u, one_v = tuple(u[i].tolist()), tuple(v[i].tolist())
+            one_w, one_rw = hyperbolic._einstein_add(one_u, one_v, _gamma(float(ru[i])), _dot3(one_u, one_v))
+            assert type(one_w) is tuple and all(type(c) is float for c in one_w) and type(one_rw) is float
+            assert [_bits(c) for c in one_w] == [_bits(c[i]) for c in w], i
+            assert _bits(one_rw) == _bits(rw[i]), i
+        if v is drawn and regime_v == "pure":
+            assert pulled, "no sum passed the sphere"  # rounding lands some an ulp past it
+
+
+def test_einstein_sum_refuses_the_antipodal_limit_on_both_forms():
+    # 1 + u.v = 2**-53 <= 1e-15: the sum has no direction.
+    u, v = (1.0 - 2.0**-53, 0.0, 0.0), (-1.0, 0.0, 0.0)
+    gu = _gamma(u[0])
+    with pytest.raises(ValueError, match="antipodal pure limit") as one:
+        hyperbolic._einstein_add(u, v, gu, _dot3(u, v))
+    batch_u, batch_v = np.array([(0.5, 0.0, 0.0), u]), np.array([(0.0, 0.5, 0.0), v])
+    with pytest.raises(ValueError) as batch:
+        hyperbolic._einstein_add(batch_u, batch_v, _gamma(_norm3(*_xyz(batch_u))), _dot3(batch_u, batch_v))
+    assert str(batch.value) == str(one.value)
+    with pytest.raises(ValueError, match="antipodal pure limit"):
+        bg.einstein_add(u, v)

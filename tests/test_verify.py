@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 import sys
 import threading
 import time
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
-from buresgeo import cli, verify
+from buresgeo import cli, measures, verify
+from buresgeo.measures import _RouteError
 
 
 def _strip_elapsed(summary):
@@ -335,6 +337,64 @@ class TestThreadedSweep:
                     break
         finally:
             sys.setswitchinterval(interval)
+
+
+def _scaled_gap(monkeypatch):
+    """1 - r^2 scaled by 1.001: the closed route's fidelity of close enough states passes 1."""
+    real = measures._one_minus_square
+
+    def scaled(r, ws=None):
+        gap = real(r, ws)
+        return gap * 1.001 if ws is None else np.multiply(gap, 1.001, out=gap)
+
+    monkeypatch.setattr(measures, "_one_minus_square", scaled)
+
+
+def _negative_eigenvalue(monkeypatch):
+    """The low eigenvalue of sqrt(rho1) rho2 sqrt(rho1) set to -1 wherever the high one passes 0.95."""
+    real = measures._eig2
+
+    def faulty(a, d, b_re, b_im, ws=None):
+        lo, hi = real(a, d, b_re, b_im, ws)
+        if type(lo) is float:
+            return (-1.0 if hi > 0.4999 else lo), hi
+        np.copyto(lo, -1.0, where=hi > 0.4999)
+        return lo, hi
+
+    monkeypatch.setattr(measures, "_eig2", faulty)
+
+
+class TestRouteFaultLocation:
+    """A route fault inside a sweep names its trial, whose pair reproduces the fault."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("fault, seed", [(_scaled_gap, 3), (_negative_eigenvalue, 2)], ids=["closed", "psd"])
+    def test_the_named_trial_reproduces_the_fault(self, monkeypatch, fault, seed, threads):
+        block = 1000
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        _force_threads(monkeypatch, threads)
+        fault(monkeypatch)
+        with pytest.raises(_RouteError) as raised:
+            bg.sweep(seed, 100_000, "uniform_ball", "near_mixed")
+        match = re.fullmatch(rf"(.+) \(seed {seed}, uniform_ball x near_mixed, trial (\d+)\)", str(raised.value))
+        assert match, str(raised.value)
+        trial = int(match[2])
+        assert raised.value.index == trial
+        u = bg.random_bloch_indexed(seed, "uniform_ball", trial, stream=0)
+        v = bg.random_bloch_indexed(seed, "near_mixed", trial, stream=1)
+        with pytest.raises(_RouteError) as again:
+            bg.compare(u, v)
+        assert str(again.value) == match[1]
+        # It is the first fault of its block: the block's array path names the same trial.
+        indices = np.arange(trial - trial % block, trial - trial % block + block)
+        with pytest.raises(_RouteError) as in_block:
+            verify._route_spread(
+                bg.random_bloch_indexed(seed, "uniform_ball", indices, stream=0),
+                bg.random_bloch_indexed(seed, "near_mixed", indices, stream=1),
+            )
+        assert in_block.value.index == trial % block
+        if threads == 1:
+            assert trial >= block  # the first blocks pass, so the block's offset is added
 
 
 def _grid_spreads(nan_xs=()):
