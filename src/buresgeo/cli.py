@@ -3,8 +3,9 @@
 Every successful command writes exactly one machine-readable envelope to
 stdout (JSON, or CSV where the triangle command is asked for it) and all
 diagnostics to stderr.  Each command only computes: it returns its
-result and any failure line, and main alone writes them, the JSON
-envelope built in one place with the parsed arguments as its inputs.
+result and any failure line, and main alone writes them, through
+_respond, the JSON envelope built in one place with the parsed
+arguments as its inputs.
 Exit codes: 0 success, 1 verification or consistency failure, 2 usage
 error, 141 stdout closed before the envelope was written (128 + SIGPIPE;
 stderr gets one ``error:`` line and no traceback).  Exit 1 also covers a
