@@ -152,7 +152,7 @@ def __dir__():
 # components, _in_ball validates that tuple and returns it with its norm
 # as a float, and verify._compare hands both to the kernels as they are;
 # _xyz returns such a tuple as it is.  Where an operand is exactly a
-# float, the helpers take math.sqrt, abs and comparisons in place of 0-d
+# float, the helpers take math.sqrt and comparisons in place of 0-d
 # ufunc calls, so that path loads no numpy; numpy scalars and arrays
 # never are, so the public functions keep their numpy calls, values and
 # types.  + - * / and sqrt round correctly either way, and a ufunc
@@ -211,10 +211,6 @@ def _sqrt(x, out):
         return np.sqrt(x, out=out)
     # A negative float goes to numpy, which returns NaN where math.sqrt raises.
     return math.sqrt(x) if type(x) is float and not x < 0.0 else np.sqrt(x)
-
-
-def _abs(x, out):
-    return abs(x) if out is None else np.abs(x, out=out)
 
 
 def _neg(x, out):

@@ -26,7 +26,6 @@ from .qubit import (
     NEAR_MIXED_BAND,
     NEAR_PURE_BAND,
     PURE_NORM,
-    _abs,
     _bools,
     _check_int,
     _check_regime,
@@ -36,6 +35,7 @@ from .qubit import (
     _fmax,
     _give,
     _greater,
+    _maximum,
     _minimum,
     _norm3,
     _own,
@@ -130,7 +130,7 @@ def _flags(ru: float, rv: float) -> frozenset:
 
 
 def _routes(u, v, ru, rv, ws=None):
-    """The three route fidelities of each pair and their largest difference.
+    """The three route fidelities of each pair and their spread, the range of the routes that apply.
 
     Takes trusted Bloch vectors u, v and their norms ru, rv, and returns
     (f_matrix, f_closed, f_hyperbolic, spread).  The vectors are arrays
@@ -140,7 +140,11 @@ def _routes(u, v, ru, rv, ws=None):
     the same bits.  This is the one place that decides where the
     hyperbolic route applies: on pairs with either norm above PURE_NORM
     it runs on norms clipped to PURE_NORM and u.v set to 0, so it stays
-    finite, and is then masked to NaN; fmax leaves NaN out of the spread.
+    finite, and its value there is returned as NaN.  The spread is
+    max - min of the routes, taken by maximum and minimum, which
+    propagate NaN: a NaN from any route that applies makes it NaN.
+    Rounding is monotone and odd, so it equals the largest rounded
+    pairwise difference bit for bit.
 
     With a workspace, the four results are rows popped from ws, and u and
     v are handed over: they must be the (n, 3) transposes of component
@@ -164,16 +168,16 @@ def _routes(u, v, ru, rv, ws=None):
         _minimum(rv, PURE_NORM, rv_clip),
         ws,
     )
+    # On pure pairs the closed route's value fills the hyperbolic slot, so
+    # it adds nothing to the range; any other NaN makes the spread NaN.
+    f_hyp = _where(pure, f_closed, f_hyp, _own(ws, f_hyp))
+    _give(ws, dot, high, ru_clip, rv_clip)
+    spread, low = _take(ws, 2)
+    top = _maximum(_maximum(f_matrix, f_closed, spread), f_hyp, spread)
+    bottom = _minimum(_minimum(f_matrix, f_closed, low), f_hyp, low)
+    spread = _sub(top, bottom, spread)
     f_hyp = _where(pure, math.nan, f_hyp, _own(ws, f_hyp))
-    _give(ws, dot, high, mask, ru_clip, rv_clip)
-    spread, apart, tmp = _take(ws, 3)
-    gap = _fmax(
-        _abs(_sub(f_hyp, f_matrix, apart), apart),
-        _abs(_sub(f_hyp, f_closed, tmp), tmp),
-        apart,
-    )
-    spread = _fmax(_abs(_sub(f_matrix, f_closed, spread), spread), gap, spread)
-    _give(ws, apart, tmp)
+    _give(ws, low, mask)
     return f_matrix, f_closed, f_hyp, spread
 
 
@@ -363,16 +367,17 @@ def _thread_count(blocks: int) -> int:
     return max(1, min(cpus, blocks, _MAX_THREADS))
 
 
-def _run_stripes(keys, regimes, trials: int, threads: int) -> _Reduction:
+def _run_stripes(keys, seed: int, regimes, trials: int, threads: int) -> _Reduction:
     """Run every block and return the sweep's one _Reduction of the spreads.
 
     Stripe t runs blocks t, t + threads, t + 2 threads, ...: stripe 0 on
     the calling thread, the others on their own threads, all of which are
     joined before this returns or raises.  Every stripe checks ``stop``
     before each block; the first exception a stripe raises sets it, and
-    is re-raised here as the same object; a _RouteError's index, within
-    its block, is first moved on to the trial's own.  Each block hands its
-    spreads to the reduction in one add.
+    is re-raised here as the same object.  A _RouteError from a block is
+    raised again once, by its stripe, with the trial named after the
+    route's message and its index, within the block, moved on to the
+    trial's own.  Each block hands its spreads to the reduction in one add.
 
     Each stripe owns one workspace, allocated here before any block
     runs: row 0 holds the block's indices, rows 1-16 the sampler's output
@@ -413,8 +418,9 @@ def _run_stripes(keys, regimes, trials: int, threads: int) -> _Reduction:
                 try:
                     spread = _route_spread(w[0].T, w[1].T, ws)
                 except _RouteError as exc:
-                    exc.index += lo  # the trial of the block's first failing value
-                    raise
+                    trial = lo + exc.index  # the trial of the block's first failing value
+                    where = f"seed {seed}, {regimes[0]} x {regimes[1]}, trial {trial}"
+                    raise _RouteError(f"{exc} ({where})", trial) from None
                 reduction.add(lo, spread, ws)
                 indices += np.uint64(step)
         except BaseException as exc:
@@ -483,10 +489,7 @@ def sweep(seed, trials: int, regime_u: str, regime_v: str) -> SweepSummary:
 
     keys = _stream_keys(seed, (0, 1))
     blocks = -(-trials // _BLOCK)
-    try:
-        reduction = _run_stripes(keys, regimes, trials, _thread_count(blocks))
-    except _RouteError as exc:
-        raise _RouteError(f"{exc} (seed {seed}, {regime_u} x {regime_v}, trial {exc.index})", exc.index) from None
+    reduction = _run_stripes(keys, seed, regimes, trials, _thread_count(blocks))
     worst, max_diff = reduction.best
     # Integer division is correctly rounded: this is math.fsum(spreads) / trials,
     # which is the largest spread itself once that is NaN or infinite.

@@ -27,7 +27,6 @@ from buresgeo.qubit import (
     BALL_EPS,
     PURE_NORM,
     REGIMES,
-    _abs,
     _checked_bloch,
     _dot3,
     _fmax,
@@ -127,8 +126,6 @@ def test_float_forms_match_the_array_loops():
             for b in SPECIAL:
                 got = helper(a, b, None)
                 assert type(got) is float and _bits(got) == _bits(_loop(ufunc, a, b)), (helper, a, b)
-        got = _abs(a, None)
-        assert type(got) is float and _bits(got) == _bits(_loop(np.abs, a))
         for cond in (True, False):
             assert _where(cond, a, 0.25, None) is (a if cond else 0.25)
         if not a < 0.0:
