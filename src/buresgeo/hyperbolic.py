@@ -36,6 +36,7 @@ from .qubit import (
     _norm3,
     _numbers,
     _own,
+    _pow2_scaled,
     _pull_back,
     _quiet_norm,
     _xyz,
@@ -84,17 +85,14 @@ def rapidity_from_bloch(n) -> Rapidity:
 
     The direction defaults to the z axis at n = 0, where phi = 0 makes
     it arbitrary.  The norm and the direction are taken from n scaled by
-    the power of two that brings its largest component into [0.5, 1), as
-    in _eig2_scaled, so the norm loses nothing to underflowing squares:
-    down to the smallest subnormal, the direction is a unit vector and
-    phi is |n| to a few ulps.  The scaling is exact, so wherever no
-    square of n underflows the result is that of the unscaled n, bit for
-    bit.
+    the power of two that brings its largest component into [0.5, 1)
+    (qubit._pow2_scaled), so the norm loses nothing to underflowing
+    squares: down to the smallest subnormal, the direction is a unit
+    vector and phi is |n| to a few ulps.  The scaling is exact, so
+    wherever no square of n underflows the result is that of the
+    unscaled n, bit for bit.
     """
-    n, _ = _checked_bloch(n)
-    exponent = np.frexp(np.abs(n).max(axis=-1, initial=0.0))[1]
-    scaled = np.ldexp(n, -exponent[..., None])
-    length = _norm3(*_xyz(scaled))
+    scaled, length, exponent = _pow2_scaled(_checked_bloch(n)[0])
     r = np.ldexp(length, exponent)
     nonzero = (length > 0.0)[..., None]
     direction = np.where(nonzero, scaled / np.where(nonzero, length[..., None], 1.0), _Z_AXIS)

@@ -19,12 +19,9 @@ with the sampler's output, call the kernels directly.  Kernels work on
 from __future__ import annotations
 
 import functools
-import importlib.util
 import math
 import numbers
 import sys
-import threading
-import types
 
 __all__ = [
     "BALL_EPS",
@@ -79,44 +76,27 @@ _TRACE_TOL = 1e-12
 #
 # A one-pair request runs on Python floats, and numpy's import is about
 # half of a fresh ``buresgeo fidelity`` process.  So every module of the
-# package binds ``np`` to the module below: numpy itself where it is
-# imported already, as it is for every caller that holds an array, or
-# else a module that runs numpy's code on the first access to any of its
-# attributes.  importlib's LazyLoader does the same, but before Python
-# 3.12 it marks the module loaded before running it, so a second thread
-# could see numpy half executed.  Here the first access runs the code
-# under a lock, and the module stays deferred until the code is done:
-# every other thread waits on the lock till then.
+# package binds ``np`` to numpy itself where it is imported already, as it
+# is for every caller that holds an array, or else to a _Numpy, which
+# imports numpy on the first access to any of its attributes.  That is a
+# plain import: a second thread that imports numpy while the first runs
+# numpy's code waits on the import system's lock for the module until the
+# code is done, so no thread sees numpy half executed.
 # ---------------------------------------------------------------------------
 
-_LOAD_LOCK = threading.RLock()
+
+class _Numpy:
+    """numpy's attributes, each fetched by a plain ``import numpy`` on first access and kept."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
 
 
-class _Deferred(types.ModuleType):
-    """A module whose code runs once, on the first access to any attribute, under _LOAD_LOCK.
-
-    The spec's loader_state marks the code as started.  The lock is
-    reentrant, so the running code's own accesses to its module come back
-    here and read what it has defined so far; every other thread waits
-    for the lock, and finds the code done.
-    """
-
-    def __getattribute__(self, name):
-        plain = types.ModuleType.__getattribute__
-        spec = plain(self, "__spec__")
-        with _LOAD_LOCK:
-            if spec.loader_state is None:
-                spec.loader_state = "started"
-                spec.loader.exec_module(self)
-                self.__class__ = types.ModuleType
-        return plain(self, name)
-
-
-# numpy as imported already, or else a _Deferred module put in its place.
-if "numpy" not in sys.modules:
-    sys.modules["numpy"] = importlib.util.module_from_spec(importlib.util.find_spec("numpy"))
-    sys.modules["numpy"].__class__ = _Deferred
-np = sys.modules["numpy"]
+np = sys.modules.get("numpy") or _Numpy()
 
 _PAULI_NAMES = ("SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI")
 
@@ -389,14 +369,35 @@ def as_bloch_vector(n) -> np.ndarray:
     return _checked_bloch(n)[0]
 
 
+def _pow2_scaled(n):
+    """(n * 2**-e, its _norm3, e) for the float vectors n, with e from each vector's largest component.
+
+    The package's one power-of-two scaling of Bloch vectors (Blue, ACM
+    TOMS 1978), by _eig2_scaled's rule: 2**-e brings the largest
+    |component| into [0.5, 1), so no square of the scaled vector can
+    overflow or lose the norm to underflow.  The scaling is exact:
+    wherever no square of n, nor their sum, underflows or overflows,
+    the norm times 2**e is _norm3(n), bit for bit.  An inf or NaN
+    component stays one under any scaling.
+    """
+    exponent = np.frexp(np.abs(n).max(axis=-1, initial=0.0))[1]
+    scaled = np.ldexp(n, -exponent[..., None])
+    return scaled, _norm3(*_xyz(scaled)), exponent
+
+
 def bloch_norm(n) -> np.ndarray:
     """Euclidean norm of Bloch vectors of shape (..., 3), over the last axis.
 
-    The vectors are not validated, so any real 3-vector has a norm; it is
-    inf once the squares overflow, for components past about 1e154, and
-    NaN where a component is NaN.
+    The vectors are not validated, so any real 3-vector has a norm.  It
+    is exact at every scale, subnormal components included: within 1.5
+    eps, relative, of the true norm, and within half the smallest
+    subnormal more where the norm is itself subnormal.  It is inf only
+    where a component is inf or the norm lies past the largest double,
+    and NaN where a component is NaN.
     """
-    return _quiet_norm(_float3(n))
+    _, length, exponent = _pow2_scaled(_float3(n))
+    with np.errstate(over="ignore"):  # a norm past the largest double
+        return np.ldexp(length, exponent)
 
 
 # ---------------------------------------------------------------------------

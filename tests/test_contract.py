@@ -8,10 +8,10 @@ return finite values in the function's documented range or raise
 ValueError.  Warnings are errors here, so a numpy RuntimeWarning or
 ComplexWarning fails the check as any other exception does.  Two
 functions document a non-finite result: ``bloch_norm``, which validates
-nothing, is inf once the squares overflow and NaN for a NaN component,
-and ``rapidity_from_bloch`` gives ``phi = +inf`` on the sphere, which a
-bool vector such as (True, False, False) reaches; its phi is checked as
-tanh(phi), which is finite there.
+nothing, is inf for an inf component or a norm past the largest double
+and NaN for a NaN component, and ``rapidity_from_bloch`` gives
+``phi = +inf`` on the sphere, which a bool vector such as (True, False,
+False) reaches; its phi is checked as tanh(phi), which is finite there.
 
 The list of public names itself comes from one source, each module's
 ``__all__``; the package re-exports the four lists.
@@ -250,7 +250,8 @@ def _short(value) -> str:
 def _violations(name, result) -> list:
     """What in ``result`` breaks the documented range of ``name``."""
     if name == "bloch_norm":
-        # Documented: inf once the squares overflow, NaN for a NaN component.
+        # Documented: inf for an inf component or a norm past the largest
+        # double, NaN for a NaN component.
         values = np.asarray(result, dtype=float)
         return [] if ((values >= 0.0) | np.isnan(values)).all() else [f"norm {values!r}"]
     problems = []

@@ -4,8 +4,10 @@ A fidelity request loads neither dataclasses nor inspect either: the
 result records are NamedTuples.
 
 The package binds ``np`` to numpy itself when numpy is imported already,
-as it is in this test process, and otherwise to a module that runs
-numpy's code on first attribute access, under a lock.  Each check that
+as it is in this test process, and otherwise to ``qubit._Numpy``, whose
+first attribute access runs a plain ``import numpy``; the package puts
+nothing into sys.modules, so a process that only imports it, or only
+answers a fidelity request, has no numpy there at all.  Each check that
 needs a process without numpy runs one.  The module constants that no
 longer come from numpy at import time keep their values and bits.
 """
@@ -26,16 +28,15 @@ from buresgeo import cli, qubit
 
 SRC = str(Path(bg.__file__).resolve().parents[1])
 
-# Run as ``python -m buresgeo.cli ARGS`` runs, with a hook that writes the
-# numpy submodules loaded by exit to stderr, as JSON, after the CLI's own
-# output, with dataclasses and inspect if the run loaded them (site may
-# have loaded them before, which does not count).  numpy itself always
-# sits in sys.modules, as the deferred module.
+# Run as ``python -m buresgeo.cli ARGS`` runs, with a hook that writes
+# numpy and its submodules, if loaded by exit, to stderr, as JSON, after
+# the CLI's own output, with dataclasses and inspect if the run loaded
+# them (site may have loaded them before, which does not count).
 NUMPY_AT_EXIT = """
 import sys
 records = {"dataclasses", "inspect"} - set(sys.modules)
 import atexit, json, runpy
-atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy.") or m in records)), file=sys.stderr))
+atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "numpy" or m in records)), file=sys.stderr))
 sys.argv = ["buresgeo"] + sys.argv[1:]
 runpy.run_module("buresgeo.cli", run_name="__main__", alter_sys=True)
 """
@@ -97,13 +98,41 @@ def test_import_binds_numpy_itself_when_it_is_loaded():
     assert "np" not in vars(cli)  # the CLI uses numpy nowhere; triangle's kernels hold it
 
 
+# Standard-library code that walks sys.modules touches every module in it:
+# assertWarns clears each module's __warningregistry__, and getmodule
+# reads each module's __file__.  After ``import buresgeo`` neither may load
+# numpy, which the package has not put there.
+WALKERS = {
+    "assertWarns": """
+import unittest, warnings
+class Case(unittest.TestCase):
+    def runTest(self):
+        with self.assertWarns(UserWarning):
+            warnings.warn("walk")
+Case().runTest()
+""",
+    "getmodule": """
+import inspect
+inspect.getmodule(compile("1", "<walk>", "eval"))
+""",
+}
+
+
+@pytest.mark.parametrize("walker", sorted(WALKERS))
+def test_modules_walkers_load_no_numpy(walker):
+    listing = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    proc = _python("-c", "import sys, buresgeo" + WALKERS[walker] + listing)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # Four threads make their first numpy-touching call at once, in a process
 # that has not loaded numpy: each must see numpy whole, and get the
 # single-thread results.
 FIRST_USE_THREADS = """
 import json, sys, threading
 import buresgeo as bg
-assert type(sys.modules["numpy"]) is bg.qubit._Deferred
+assert "numpy" not in sys.modules and type(bg.qubit.np) is bg.qubit._Numpy
 RHO1 = [[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]]
 RHO2 = [[0.4, -0.1j], [0.1j, 0.6]]
 barrier = threading.Barrier(4)
@@ -235,7 +264,7 @@ def test_package_import_builds_no_pauli_matrix():
     proc = _python(
         "-c",
         "import sys, buresgeo, buresgeo.qubit as q; "
-        "print(sorted(n for n in q._PAULI_NAMES if n in vars(q)), type(sys.modules['numpy']).__name__)",
+        "print(sorted(n for n in q._PAULI_NAMES if n in vars(q)), type(q.np).__name__)",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "_Deferred"]
+    assert proc.stdout.split() == ["[]", "_Numpy"]

@@ -9,6 +9,10 @@ directory, applies the one fault there, and runs every command through
 ``cli.main`` in one child process that imports the copy.  An exit 2 or
 a traceback fails the entry: a fault inside a route is a verification
 failure, never a usage error.
+
+Some faults no route comparison can see; their catcher is a named test
+instead, which the harness runs with pytest on the faulted copy and
+which must fail there.  Each such entry says why verify cannot see it.
 """
 
 import json
@@ -71,6 +75,128 @@ FAULTS = [
         None,
         False,
     ),
+    (
+        # On near-mixed pairs, norms below 1e-3, the routes move apart by less than 1e-10.
+        "_norm3 x 1.0001",
+        "qubit.py",
+        "    return _sqrt(total, out)",
+        "    return _mul(_sqrt(total, out), 1.0001, out)",
+        [pair for pair in PAIRS if pair != "near_mixed x near_mixed"],
+        True,
+    ),
+    (
+        # gamma enters the hyperbolic route only, which pure sides mask out.
+        "_gamma x 1.001",
+        "qubit.py",
+        "    return _div(1.0, _sqrt(gap, row), row)",
+        "    return _mul(_div(1.0, _sqrt(gap, row), row), 1.001, row)",
+        NO_PURE_SIDE,
+        True,
+    ),
+    (
+        "_law_of_cosines g_w x 1.001",
+        "qubit.py",
+        "    value = _mul(_mul(gu, gv, gw), _add(1.0, dot, tmp), gw)",
+        "    value = _mul(_mul(_mul(gu, gv, gw), _add(1.0, dot, tmp), gw), 1.001, gw)",
+        NO_PURE_SIDE,
+        True,
+    ),
+    (
+        "_sqrt_entries alpha 0.5 -> 0.5005",
+        "qubit.py",
+        "    alpha = _mul(0.5, _add(plus, minus, alpha_row), alpha_row)",
+        "    alpha = _mul(0.5005, _add(plus, minus, alpha_row), alpha_row)",
+        PAIRS,
+        True,
+    ),
+    (
+        "_sandwich e00 x 1.001",
+        "measures.py",
+        "    e00 = _add(e00, _mul(q_sq, d, tmp), m00)",
+        "    e00 = _mul(_add(e00, _mul(q_sq, d, tmp), m00), 1.001, m00)",
+        PAIRS,
+        True,
+    ),
+    (
+        "_eig2 half gap x 1.001",
+        "qubit.py",
+        "    half_gap = _sqrt(_add(square, _mul(b_im, b_im, tmp), gap), gap)",
+        "    half_gap = _mul(_sqrt(_add(square, _mul(b_im, b_im, tmp), gap), gap), 1.001, gap)",
+        PAIRS,
+        True,
+    ),
+    (
+        # The hyperbolic route takes no snap, and only near-pure draws lie
+        # above the moved one: the pairs with a near-pure side and no pure one.
+        "_EXACT_PURE_NORM = 1 - 1e-6",
+        "measures.py",
+        "_EXACT_PURE_NORM = 1.0 - _SPHERE_BAND",
+        "_EXACT_PURE_NORM = 1.0 - 1e-6",
+        [pair for pair in NO_PURE_SIDE if "near_pure" in pair],
+        False,
+    ),
+    (
+        "_matrix_fidelity L- recovery 16 -> 15",
+        "measures.py",
+        "    det_product = _div(_mul(gap1, gap2, f), 16.0, f)",
+        "    det_product = _div(_mul(gap1, gap2, f), 15.0, f)",
+        NO_PURE_SIDE,
+        True,
+    ),
+    (
+        "_hyperbolic_fidelity x 1.001",
+        "hyperbolic.py",
+        "    fid = _div(_add(1.0, gw, out), _mul(_mul(2.0, gu, den), gv, den), out)",
+        "    fid = _mul(_div(_add(1.0, gw, out), _mul(_mul(2.0, gu, den), gv, den), out), 1.001, out)",
+        NO_PURE_SIDE,
+        True,
+    ),
+    (
+        "_closed_fidelity x 1.001",
+        "measures.py",
+        "    fid = _add(half, _mul(0.5, root, row), out)",
+        "    fid = _mul(_add(half, _mul(0.5, root, row), out), 1.001, out)",
+        PAIRS,
+        True,
+    ),
+]
+
+# (name, file, old line, new line, test that must fail): faults that
+# verify exits 0 on, on all 16 regime pairs, for the reason each gives.
+UNSEEN_FAULTS = [
+    (
+        # Flips the sign of y in both states alike, and the fidelity is
+        # invariant under that reflection.
+        "_density_entries sign of y",
+        "qubit.py",
+        "        _mul(-0.5, y, b_im),",
+        "        _mul(0.5, y, b_im),",
+        "test_qubit.py::TestDensityFromBloch::test_equals_the_pauli_expansion",
+    ),
+    (
+        # Changes only which pairs are drawn; every route agrees on them.
+        "_radius sqrt for cbrt",
+        "qubit.py",
+        "        np.cbrt(u, out=u)",
+        "        np.sqrt(u, out=u)",
+        "test_qubit.py::TestRandomBloch::test_uniform_ball_volume_law",
+    ),
+    (
+        # Drops one bit of the mean only; no spread is compared against it.
+        "_exact_sum drops a bit",
+        "verify.py",
+        "    np.copyto(weights, np.bitwise_and(m, 0x3FFFFFF, out=part))",
+        "    np.copyto(weights, np.bitwise_and(m, 0x3FFFFFE, out=part))",
+        "test_verify.py::test_exact_block_sum_equals_fsum",
+    ),
+    (
+        # Changes the p99's rounding only, far below any tolerance.
+        "_Reduction.p99 one-sided interpolation",
+        "verify.py",
+        "        p99 = b - gap * (1.0 - t) if t >= 0.5 else a + gap * t",
+        "        p99 = a + gap * t",
+        "test_verify.py::test_p99_equals_numpy_percentile",
+    ),
 ]
 
 # Runs in the child: every regime pair's verify and the one fidelity
@@ -95,6 +221,20 @@ print(json.dumps({"verify": verify, "fidelity": code(sys.argv[2:])}))
 """
 
 
+# Runs in the child: the named tests with pytest, on the package copy
+# that the child has imported.  hypothesis reports the first failing
+# example without shrinking it, and keeps no example database.
+NAMED_TESTS = """
+import os, sys
+import buresgeo, pytest
+from hypothesis import Phase, settings
+assert os.path.dirname(os.path.abspath(buresgeo.__file__)).startswith(sys.argv[1]), buresgeo.__file__
+settings.register_profile("catch", database=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+settings.load_profile("catch")
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
+"""
+
+
 def _exit_codes(root: Path) -> dict:
     """The exit codes of the commands in CHILD, run on the package copy under root."""
     env = {**os.environ, "PYTHONPATH": str(root)}
@@ -111,9 +251,28 @@ def _exit_codes(root: Path) -> dict:
     return codes
 
 
+def _named_tests(root: Path, *tests: str) -> subprocess.CompletedProcess:
+    """pytest's run of the named tests of this directory on the package copy under root, from root."""
+    return subprocess.run(
+        [sys.executable, "-c", NAMED_TESTS, str(root), *(str(Path(__file__).parent / test) for test in tests)],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def _copy(tmp_path: Path) -> Path:
     shutil.copytree(PACKAGE, tmp_path / "buresgeo", ignore=shutil.ignore_patterns("__pycache__"))
     return tmp_path
+
+
+def _apply(root: Path, file: str, old: str, new: str) -> None:
+    source = root / "buresgeo" / file
+    text = source.read_text()
+    assert text.count(old + "\n") == 1, f"{old!r} must occur once in {file}"
+    source.write_text(text.replace(old + "\n", new + "\n"))
 
 
 def test_the_unfaulted_copy_passes(tmp_path):
@@ -121,15 +280,17 @@ def test_the_unfaulted_copy_passes(tmp_path):
     assert codes == {"verify": dict.fromkeys(PAIRS, 0), "fidelity": 0}
 
 
+def test_the_named_tests_pass_on_the_unfaulted_copy(tmp_path):
+    proc = _named_tests(_copy(tmp_path), *[entry[-1] for entry in UNSEEN_FAULTS])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize(
     "file, old, new, pairs, fidelity_fails", [entry[1:] for entry in FAULTS], ids=[entry[0] for entry in FAULTS]
 )
 def test_the_fault_is_caught(tmp_path, file, old, new, pairs, fidelity_fails):
     root = _copy(tmp_path)
-    source = root / "buresgeo" / file
-    text = source.read_text()
-    assert text.count(old + "\n") == 1, f"{old!r} must occur once in {file}"
-    source.write_text(text.replace(old + "\n", new + "\n"))
+    _apply(root, file, old, new)
     codes = _exit_codes(root)
     failed = [pair for pair, code in codes["verify"].items() if code == 1]
     if pairs is None:
@@ -138,3 +299,14 @@ def test_the_fault_is_caught(tmp_path, file, old, new, pairs, fidelity_fails):
         assert set(pairs) <= set(failed), codes
     if fidelity_fails:
         assert codes["fidelity"] == 1, codes
+
+
+@pytest.mark.parametrize(
+    "file, old, new, test", [entry[1:] for entry in UNSEEN_FAULTS], ids=[entry[0] for entry in UNSEEN_FAULTS]
+)
+def test_the_unseen_fault_fails_its_test(tmp_path, file, old, new, test):
+    root = _copy(tmp_path)
+    _apply(root, file, old, new)
+    proc = _named_tests(root, test)
+    # pytest exits 1 when a collected test fails; 2 to 5 would be the harness's fault.
+    assert proc.returncode == 1 and "1 failed" in proc.stdout, proc.stdout + proc.stderr

@@ -1,11 +1,12 @@
 """Tests for the Bloch/density correspondence, 2x2 eigensolve and sampler."""
 
+import decimal
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
@@ -73,13 +74,35 @@ class TestDensityFromBloch:
                 with pytest.raises(ValueError, match=r"Bloch vector norm inf lies outside the unit ball"):
                     bg.as_bloch_vector(huge)
 
-    def test_bloch_norm_is_inf_once_the_squares_overflow(self):
+    def test_bloch_norm_is_finite_where_the_squares_overflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             norms = bg.bloch_norm([[1e308, 1e308, 0.0], [0.0, -1e200, 1e200], [1e150, 0.0, 0.0], [2.0, 0.0, 0.0]])
-            assert norms.tolist() == [np.inf, np.inf, 1e150, 2.0]
+            assert norms.tolist() == [1.4142135623730951e308, 1.414213562373095e200, 1e150, 2.0]
             assert np.isnan(bg.bloch_norm([np.nan, 0.0, 0.0]))
             assert bg.bloch_norm([np.inf, 0.0, 0.0]) == np.inf
+            assert bg.bloch_norm([1.7e308, 1.7e308, 1.7e308]) == np.inf  # past the largest double
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mantissas=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        exponents=st.tuples(*[st.integers(-1074, 1023)] * 3),
+    )
+    @example(mantissas=(0.75, 1.0, 0.0), exponents=(-563, -563, 0))  # (3, 4, 0) * 2**-565, about 1e-170
+    @example(mantissas=(1e-170, 0.0, 0.0), exponents=(0, 0, 0))
+    @example(mantissas=(1.0, 1.0, 0.0), exponents=(1023, 1023, 0))
+    @example(mantissas=(1.0, 1.0, 1.0), exponents=(-1074, -1074, -1074))
+    def test_bloch_norm_matches_a_40_digit_oracle(self, mantissas, exponents):
+        # Components from the smallest subnormal to 2**1023, each scale
+        # its own.  The norm rounds within 1.5 eps of the exact one (three
+        # squares, two sums and a square root, each rounded once), plus
+        # half the smallest subnormal where the norm itself is subnormal.
+        n = [math.ldexp(m, e) for m, e in zip(mantissas, exponents)]
+        with decimal.localcontext() as context:
+            context.prec = 40
+            exact = sum(decimal.Decimal(x) * decimal.Decimal(x) for x in n).sqrt()
+            error = abs(decimal.Decimal(float(bg.bloch_norm(n))) - exact)
+            assert error <= exact * decimal.Decimal(1.5 * 2.0**-52) + decimal.Decimal(2) ** -1075, (n, exact)
 
     def test_bloch_norm_rejects_wrong_shape(self):
         for bad in ([0.1, 0.2], np.zeros((4, 2)), 0.5):
