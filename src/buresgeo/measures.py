@@ -147,13 +147,30 @@ def trace_distance_matrix(rho1, rho2):
 
 
 def _trace_distance(u, v):
-    ux, uy, uz = _xyz(u)
-    vx, vy, vz = _xyz(v)
-    return 0.5 * _norm3(ux - vx, uy - vy, uz - vz)
+    """Half |u - v|, on arrays or on one pair of float tuples.
+
+    The norm of the difference is taken as it is.  Only where it lies
+    below 2**-500, where its squares may underflow, is it taken again on
+    the difference times 2**600, whose squares neither underflow nor
+    overflow, and divided by 2**601.  The scaling up is exact, and the
+    division rounds only where the half norm is subnormal.
+    """
+    d = [a - b for a, b in zip(_xyz(u), _xyz(v))]
+    length = _norm3(*d)
+    tiny = length < 2.0**-500
+    if (tiny if type(tiny) is bool else tiny.any()):
+        scale = _where(tiny, 2.0**600, 1.0, None)
+        return _div(_norm3(*(_mul(c, scale, None) for c in d)), _mul(2.0, scale, None), None)
+    return 0.5 * length
 
 
 def trace_distance_bloch(u, v):
-    """Half the Euclidean distance between the Bloch vectors."""
+    """Half the Euclidean distance between the Bloch vectors, exact at every scale.
+
+    Within 2 eps, relative, of the true distance, the rounding of the
+    difference included, and within half the smallest subnormal more
+    where the distance is itself subnormal.
+    """
     return _trace_distance(_checked_bloch(u)[0], _checked_bloch(v)[0])
 
 
@@ -231,30 +248,21 @@ def _matrix_fidelity(rho1, rho2, ws=None):
     _give(ws, r2)
     f = _own(ws, gap1)
     det_product = _div(_mul(gap1, gap2, f), 16.0, f)
-    lam, mask = _take(ws, 2)
-    # det_product / hi where hi > 0, else 0, NaN hi included; where= skips
-    # the other rows, so nothing divides by zero.
-    if type(hi) is float:
-        lam_minus = det_product / hi if hi > 0.0 else 0.0
-    else:
-        lam_minus = np.divide(det_product, hi, out=_zeros(lam, hi), where=_greater(hi, 0.0, mask))
+    (lam,) = _take(ws, 1)
+    # L- = det_product / hi.  hi > 0 is never below 5e-324, the least
+    # positive double, so the floor changes no such quotient.  hi <= 0
+    # needs a gap 1 - |n|^2 below about 4e-16, which _ball_gap makes 0, so
+    # det_product is 0 there and so is L-; a NaN hi gives a NaN L-.
+    lam_minus = _div(det_product, _maximum(hi, 5e-324, lam), lam)
     # hi can round to a tiny negative where the states are orthogonal and
-    # pure; its root is then 0.  maximum, not fmax, so a NaN hi still shows.
+    # pure; its root is then 0.  maximum propagates a NaN hi.
     row = _own(ws, hi)
     root_hi = _sqrt(_maximum(hi, 0.0, row), row)
     # t * t, not t ** 2: a numpy scalar takes libm pow for ** 2, which can
     # round unlike the array path, so compare would not reproduce a sweep.
     t = _add(root_hi, _sqrt(lam_minus, lam), f)
-    _give(ws, gap2, hi, lam, mask)
+    _give(ws, gap2, hi, lam)
     return _clamp_unit(_mul(t, t, f), "matrix-route fidelity", f)
-
-
-def _zeros(row, like):
-    """Zeros shaped like ``like``: the row filled with them, or a fresh array without one."""
-    if row is None:
-        return np.zeros_like(like)
-    row.fill(0.0)
-    return row
 
 
 def bures_fidelity_matrix(rho1, rho2):
@@ -269,6 +277,9 @@ def bures_fidelity_matrix(rho1, rho2):
     budget.  Each determinant is evaluated as (1-r)(1+r)/4 from the
     recovered Bloch norm, the only factorization that stays accurate
     near the sphere, with effectively pure norms giving exactly zero.
+    L+ rounds to 0 or below only on pure orthogonal states, whose product
+    is that exact zero, and the division takes L+ no lower than the least
+    positive double, so L- is 0 there.
 
     Raises ValueError if m has an eigenvalue below -1e-10 (inputs were
     not PSD to working precision) or the result leaves [0, 1] by more

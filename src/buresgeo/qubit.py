@@ -198,8 +198,10 @@ def _neg(x, out):
 
 
 # The binary ones below take floats the way numpy's array loops take each
-# element: NaN wins in maximum and minimum and loses in fmax, and a tie,
-# such as -0.0 against 0.0, gives the second operand.
+# element: NaN wins in maximum and minimum, and a tie, such as -0.0
+# against 0.0, gives the second operand.  There is no NaN-skipping fmax:
+# the kernels' operands are finite wherever their inputs are, and a NaN
+# that a fault makes must show in the result.
 def _maximum(a, b, out):
     if out is None and type(a) is float:
         return a if a > b or a != a else b
@@ -210,12 +212,6 @@ def _minimum(a, b, out):
     if out is None and type(a) is float:
         return a if a < b or a != a else b
     return np.minimum(a, b, out=out)
-
-
-def _fmax(a, b, out):
-    if out is None and type(a) is float:
-        return a if a > b or b != b else b
-    return np.fmax(a, b, out=out)
 
 
 def _where(cond, x, y, out):

@@ -32,7 +32,6 @@ from .qubit import (
     _checked_bloch,
     _density_entries,
     _dot3,
-    _fmax,
     _give,
     _greater,
     _maximum,
@@ -132,7 +131,8 @@ def _flags(ru: float, rv: float) -> frozenset:
 def _routes(u, v, ru, rv, ws=None):
     """The three route fidelities of each pair and their spread, the range of the routes that apply.
 
-    Takes trusted Bloch vectors u, v and their norms ru, rv, and returns
+    Takes trusted Bloch vectors u, v and their norms ru, rv, finite as
+    validation and the sampler leave them, and returns
     (f_matrix, f_closed, f_hyperbolic, spread).  The vectors are arrays
     of any leading shape with norm arrays, or one pair on the float path:
     each vector a tuple of three Python floats and each norm a float,
@@ -160,8 +160,8 @@ def _routes(u, v, ru, rv, ws=None):
     f_matrix = _matrix_fidelity(rho1, rho2, ws)  # takes over rho1's rows
     _give(ws, *rho2)
     high, mask, ru_clip, rv_clip = _take(ws, 4)
-    # fmax skips a NaN norm, so this is (ru > PURE_NORM) | (rv > PURE_NORM).
-    pure = _greater(_fmax(ru, rv, high), PURE_NORM, mask)
+    # The norms are finite, so this is (ru > PURE_NORM) | (rv > PURE_NORM).
+    pure = _greater(_maximum(ru, rv, high), PURE_NORM, mask)
     f_hyp = _hyperbolic_fidelity(
         _where(pure, 0.0, dot, _own(ws, dot)),
         _minimum(ru, PURE_NORM, ru_clip),

@@ -1,7 +1,7 @@
 """The sweep block's route arithmetic, step by step, against reference forms.
 
 Each kernel step below does less work than the plain form it stands
-for: a gap without a clamp, one guarded division, a range check through
+for: a gap without a clamp, one floored division, a range check through
 the batch's extremes, one mask call, one mantissa subtraction.  Each
 test keeps the plain form as its reference and asks for the same bits,
 or the same error message, on the inputs where the two could part: NaN,
@@ -145,7 +145,7 @@ def _matrix_tail_reference(lo, hi, r1, r2):
             f"sqrt(rho1) rho2 sqrt(rho1) has eigenvalue {float(np.min(lo)):.3e} < -1e-10"
         )
     det_product = _ball_gap_reference(r1) * _ball_gap_reference(r2) / 16.0
-    lam_minus = np.where(hi > 0.0, det_product / np.where(hi > 0.0, hi, 1.0), 0.0)
+    lam_minus = det_product / np.maximum(hi, 5e-324)
     t = np.sqrt(np.maximum(hi, 0.0)) + np.sqrt(lam_minus)
     return _clamp_unit_reference(t * t, "matrix-route fidelity")
 
@@ -201,11 +201,24 @@ def test_psd_check_sees_a_negative_eigenvalue_beside_a_nan():
             measures._matrix_fidelity(rho, rho)
 
 
+def test_a_vanished_largest_eigenvalue_of_mixed_states_is_a_route_fault():
+    # Only pure orthogonal states take L+ to 0, and their determinant
+    # product is exactly 0.  Two maximally mixed states have 1/16: an
+    # eigensolve that reports (0, 0) for them makes L- that product over
+    # the least positive double, inf, and the fidelity leaves [0, 1].
+    arrays = _density_entries(np.zeros(2), np.zeros(2), np.zeros(2)), np.zeros(2)
+    floats = _density_entries(0.0, 0.0, 0.0), 0.0
+    for rho, zero in (arrays, floats):
+        with np.errstate(over="ignore"), mock.patch.object(measures, "_eig2", lambda *_: (zero, zero)):
+            with pytest.raises(measures._RouteError, match=r"^matrix-route fidelity inf lies outside \[0, 1\]$"):
+                measures._matrix_fidelity(rho, rho)
+
+
 def _routes_reference(u, v, ru, rv, hyperbolic):
     dot = _dot3(u, v)
     f_closed = _closed_fidelity(dot, ru, rv)
     f_matrix = measures._matrix_fidelity(_density_entries(*_xyz(u)), _density_entries(*_xyz(v)))
-    pure = (ru > PURE_NORM) | (rv > PURE_NORM)
+    pure = np.maximum(ru, rv) > PURE_NORM
     f_hyp = hyperbolic(
         np.where(pure, 0.0, dot), np.minimum(ru, PURE_NORM), np.minimum(rv, PURE_NORM)
     )
@@ -233,9 +246,10 @@ _radii = st.one_of(
 )
 def test_routes_pure_mask_equals_reference(pairs):
     # u and v along +-x, so each norm is its radius exactly; a NaN given
-    # in place of a norm must leave the mask as the two comparisons would.
-    # A NaN norm makes the hyperbolic value NaN either way, so the mask is
-    # read off the u.v that the hyperbolic kernel receives.
+    # in place of a norm must leave the mask as the larger norm's
+    # comparison would, off.  A NaN norm makes the hyperbolic value NaN
+    # either way, so the mask is read off the u.v that the hyperbolic
+    # kernel receives.
     ru_, rv_, nan_u, nan_v, sign = (np.array(c) for c in zip(*pairs))
     zero = np.zeros_like(ru_)
     u = np.stack([ru_, zero, zero], axis=-1)

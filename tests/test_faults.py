@@ -159,6 +159,26 @@ FAULTS = [
         PAIRS,
         True,
     ),
+    (
+        # The closed and matrix routes take the gap, the hyperbolic route
+        # does not; a pure side's gap is 0, and stays 0.
+        "_ball_gap x 1.001",
+        "measures.py",
+        "    value = _where(_greater(r, _EXACT_PURE_NORM, mask), 0.0, gap, _own(ws, gap))",
+        "    value = _mul(_where(_greater(r, _EXACT_PURE_NORM, mask), 0.0, gap, _own(ws, gap)), 1.001, _own(ws, gap))",
+        NO_PURE_SIDE,
+        True,
+    ),
+    (
+        # The mask is then set only where both sides are pure, so the
+        # hyperbolic route counts on pairs with one pure side.
+        "_routes pure mask by the smaller norm",
+        "verify.py",
+        "    pure = _greater(_maximum(ru, rv, high), PURE_NORM, mask)",
+        "    pure = _greater(_minimum(ru, rv, high), PURE_NORM, mask)",
+        [pair for pair in PAIRS if pair.split(" x ").count("pure") == 1],
+        False,
+    ),
 ]
 
 # (name, file, old line, new line, test that must fail): faults that
@@ -196,6 +216,39 @@ UNSEEN_FAULTS = [
         "        p99 = b - gap * (1.0 - t) if t >= 0.5 else a + gap * t",
         "        p99 = a + gap * t",
         "test_verify.py::test_p99_equals_numpy_percentile",
+    ),
+    (
+        # The closed and matrix routes share the snap and move alike, and
+        # the hyperbolic route is masked wherever a side is pure.
+        "_ball_gap snap 0 -> 1e-12",
+        "measures.py",
+        "    value = _where(_greater(r, _EXACT_PURE_NORM, mask), 0.0, gap, _own(ws, gap))",
+        "    value = _where(_greater(r, _EXACT_PURE_NORM, mask), 1e-12, gap, _own(ws, gap))",
+        "test_measures.py::TestBuresFidelityClosed::test_pure_pair_is_half_one_plus_cos",
+    ),
+    (
+        # A tie rule changes only which trial is reported as the worst.
+        "_Reduction.add tie to the larger index",
+        "verify.py",
+        "        rank = (nan, 0.0 if nan else value, -index)",
+        "        rank = (nan, 0.0 if nan else value, index)",
+        "test_verify.py::test_reduction_equals_one_array",
+    ),
+    (
+        # A floor one place too high drops p99 candidates: it changes only the p99.
+        "_Reduction.add floor one place too high",
+        "verify.py",
+        "                self.floor = float(self.buffer[size - self.k])",
+        "                self.floor = float(self.buffer[size - self.k + 1])",
+        "test_verify.py::test_reduction_equals_one_array",
+    ),
+    (
+        # Changes only which pairs are drawn; every route agrees on them.
+        "_direction azimuth pi -> 3",
+        "qubit.py",
+        "    t *= np.pi",
+        "    t *= 3.0",
+        "test_qubit.py::test_azimuth_fills_equal_sectors_uniformly",
     ),
 ]
 

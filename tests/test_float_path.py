@@ -29,7 +29,6 @@ from buresgeo.qubit import (
     REGIMES,
     _checked_bloch,
     _dot3,
-    _fmax,
     _gamma,
     _in_ball,
     _maximum,
@@ -122,7 +121,7 @@ def _loop(ufunc, *args):
 
 def test_float_forms_match_the_array_loops():
     for a in SPECIAL:
-        for helper, ufunc in ((_maximum, np.maximum), (_minimum, np.minimum), (_fmax, np.fmax)):
+        for helper, ufunc in ((_maximum, np.maximum), (_minimum, np.minimum)):
             for b in SPECIAL:
                 got = helper(a, b, None)
                 assert type(got) is float and _bits(got) == _bits(_loop(ufunc, a, b)), (helper, a, b)
@@ -190,7 +189,12 @@ def _vectors(draw) -> np.ndarray:
 @st.composite
 def _pairs(draw):
     u = draw(_vectors())
-    kind = draw(st.sampled_from(["any", "identical", "antipodal"]))
+    kind = draw(st.sampled_from(["any", "identical", "antipodal", "nearby"]))
+    if kind == "nearby":
+        # A difference from the smallest subnormal to 2**-400, whose squares
+        # underflow; it survives the sum where u's components are as small.
+        tiny = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        return u, u + tiny * 2.0 ** draw(st.integers(-1074, -400))
     v = draw(_vectors()) if kind == "any" else u.copy() if kind == "identical" else -u
     return u, v
 
@@ -203,6 +207,16 @@ def test_compare_equals_the_sweep_rows_on_edges(pairs):
     u = _checked_bloch(np.array([p[0] for p in pairs]))[0]
     v = _checked_bloch(np.array([p[1] for p in pairs]))[0]
     _assert_same_bits(u, v)
+
+
+def test_trace_distance_keeps_tiny_differences_on_both_paths():
+    # Below 2**-500 the norm of the difference is taken again on the
+    # difference times 2**600; the rows above it keep the unscaled norm.
+    u = np.array([[3e-170, 4e-170, 0.0], [1e-323, 0.0, 0.0], [0.0, 2.0**-500, 0.0], [0.6, 0.0, 0.0]])
+    v = np.zeros_like(u)
+    _assert_same_bits(u, v)
+    assert measures._trace_distance(u, v).tolist() == [2.5e-170, 5e-324, 2.0**-501, 0.3]
+    assert measures._trace_distance(u[3:], v[3:]).tolist() == [0.3]
 
 
 def test_edge_set_is_inside_the_ball():

@@ -1,9 +1,12 @@
 """Tests for trace distance, the matrix fidelity route and the closed form."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from conftest import fidelity_brute, random_rotations, regime_pairs, trace_distance_brute
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import buresgeo as bg
@@ -47,6 +50,35 @@ class TestTraceDistance:
         # eigenvalues +-1e-170 would vanish if their squares underflowed.
         rho = np.array([[0.5, 1e-170], [1e-170, 0.5]])
         assert bg.trace_distance_matrix(rho, np.eye(2) / 2) == 1e-170
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        u=st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-0.57, 0.57)] * 3)),
+        mantissas=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        exponents=st.tuples(*[st.integers(-1074, 0)] * 3),
+    )
+    @example(u=(0.0, 0.0, 0.0), mantissas=(3e-170, 4e-170, 0.0), exponents=(0, 0, 0))
+    @example(u=(0.0, 0.0, 0.0), mantissas=(1.0, 1.0, 1.0), exponents=(-1074, -1074, -1074))
+    @example(u=(0.5, 0.0, 0.0), mantissas=(-1.0, 0.0, 0.0), exponents=(0, 0, 0))
+    def test_matches_a_40_digit_oracle(self, u, mantissas, exponents):
+        # Differences from the smallest subnormal to 2, each component its
+        # own scale; near u's scale the difference itself rounds.  The
+        # Bloch form rounds within 2 eps of the exact half distance, plus
+        # half the smallest subnormal where that is subnormal, on the
+        # array path and on compare's float path.  The matrix form rounds
+        # 0.5 (1 + z) into its density entries first, which costs up to
+        # 2**-53 absolute (5.6e-17 measured), so a difference far below
+        # 1e-16 vanishes there by design.
+        v = tuple(min(max(a + math.ldexp(m, e), -0.57), 0.57) for a, m, e in zip(u, mantissas, exponents))
+        matrix = bg.trace_distance_matrix(bg.density_from_bloch(u), bg.density_from_bloch(v))
+        with localcontext() as context:
+            context.prec = 40
+            exact = sum((Decimal(a) - Decimal(b)) ** 2 for a, b in zip(u, v)).sqrt() / 2
+            for got in (bg.trace_distance_bloch(u, v), bg.compare(u, v).d_trace):
+                error = abs(Decimal(float(got)) - exact)
+                assert error <= exact * Decimal(2 * 2.0**-52) + Decimal(2) ** -1075, (u, v, got)
+            error = abs(Decimal(float(matrix)) - exact)
+            assert error <= Decimal(2) ** -53 + exact * Decimal(2 * 2.0**-52), (u, v, matrix)
 
     def test_routes_agree_all_regimes(self):
         for _, _, u, v in regime_pairs(101, 100_000):

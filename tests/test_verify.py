@@ -238,6 +238,18 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"trials=10 needs {nbytes} bytes"):
             bg.sweep(0, 10, "uniform_ball", "uniform_ball")
 
+    @pytest.mark.parametrize("regime_v", bg.REGIMES)
+    @pytest.mark.parametrize("regime_u", bg.REGIMES)
+    def test_workspace_rows_are_the_pools_peak(self, monkeypatch, regime_u, regime_v):
+        # One block's sampler and kernels hold at most _WORKSPACE_ROWS rows
+        # at once: a one-block sweep runs with that many, and with one row
+        # fewer a kernel pops from the empty pool.
+        rows = verify._WORKSPACE_ROWS
+        assert bg.sweep(2, 100, regime_u, regime_v).trials == 100
+        monkeypatch.setattr(verify, "_WORKSPACE_ROWS", rows - 1)
+        with pytest.raises(IndexError, match="pop from empty list"):
+            bg.sweep(2, 100, regime_u, regime_v)
+
     def test_accepts_numpy_integers(self):
         summary = bg.sweep(np.uint64(5), np.int64(3), "uniform_ball", "uniform_ball")
         assert _strip_elapsed(summary) == _strip_elapsed(bg.sweep(5, 3, "uniform_ball", "uniform_ball"))
