@@ -78,6 +78,10 @@ class _RouteError(ValueError):
         super().__init__(message)
         self.index = index
 
+    def __reduce__(self):
+        # A sweep helper sends it to its owner pickled: the type, message and index survive.
+        return type(self), (str(self), self.index)
+
 
 class LambdaRoots(NamedTuple):
     """Eigenvalues of sqrt(rho1) rho2 sqrt(rho1), largest first."""
@@ -119,16 +123,29 @@ def _clamp_unit(x, what: str, out=None):
     return value if one else np.float64(value)
 
 
-def _ball_gap(r, ws=None):
-    """1 - r^2 of the norms r, exactly 0 for effectively pure ones.
+def _effectively_pure(r, out=None):
+    """The mask r > _EXACT_PURE_NORM of the norms r, written into the row out when there is one.
+
+    The one decision of which states both fidelity routes take as pure:
+    verify._routes makes it once per state, on the validated norm, and
+    hands it to both routes, so that a norm and its rounded recovery from
+    the density entries cannot land on either side of the threshold.
+    """
+    return _greater(r, _EXACT_PURE_NORM, out)
+
+
+def _ball_gap(r, ws=None, pure=None):
+    """1 - r^2 of the norms r, exactly 0 where ``pure`` holds: by default where r > _EXACT_PURE_NORM.
 
     Needs no clamp at 0: for a norm 0 <= r <= _EXACT_PURE_NORM both
     factors of (1-r)(1+r) are positive; a larger norm, inf too, takes
-    the 0; and a NaN norm gives NaN with or without a clamp.
+    the 0; and a NaN norm gives NaN with or without a clamp.  A mask
+    given as ``pure`` was decided on a norm within a few ulps of r.
     """
     gap = _one_minus_square(r, ws)
     (mask,) = _take(ws, 1)
-    value = _where(_greater(r, _EXACT_PURE_NORM, mask), 0.0, gap, _own(ws, gap))
+    pure = _effectively_pure(r, mask) if pure is None else pure
+    value = _where(pure, 0.0, gap, _own(ws, gap))
     _give(ws, mask)
     return value
 
@@ -211,15 +228,18 @@ def _sandwich(root, rho, ws=None):
     return e00, e11, e01_re, e01_im
 
 
-def _matrix_fidelity(rho1, rho2, ws=None):
+def _matrix_fidelity(rho1, rho2, ws=None, pure=None):
     """Matrix-route kernel on the entries (a, d, Re b, Im b) of rho1 and rho2.
 
     With a workspace, rho1's rows are handed over: its Bloch components
     are written over Re b, Im b and a, whose last use that is, and d's row
     goes back to ws.  Each other quantity is taken where it keeps the
     fewest rows live: 1 - |n1|^2 before the product, |n2| after the
-    eigensolve.
+    eigensolve.  Each gap comes from the norm recovered from the entries;
+    ``pure``, the two states' _effectively_pure masks, says where it is
+    0, and without it each state is decided on that recovered norm.
     """
+    pure1, pure2 = (None, None) if pure is None else pure
     a1, d1, b1_re, b1_im = rho1
     # _take pops from the end: x over Re b, y over Im b, z = a - d over a.
     x1, y1, z1 = _bloch_of_entries(*rho1, None if ws is None else [a1, b1_im, b1_re])
@@ -227,7 +247,7 @@ def _matrix_fidelity(rho1, rho2, ws=None):
     r1 = _norm3(x1, y1, z1, ws)
     root = _sqrt_entries(x1, y1, z1, r1, ws)
     _give(ws, x1, y1, z1)
-    gap1 = _ball_gap(r1, ws)
+    gap1 = _ball_gap(r1, ws, pure1)
     _give(ws, r1)
     product = _sandwich(root, rho2, ws)
     _give(ws, *root)
@@ -244,7 +264,7 @@ def _matrix_fidelity(rho1, rho2, ws=None):
     bloch2 = _bloch_of_entries(*rho2, ws)
     r2 = _norm3(*bloch2, ws)
     _give(ws, *bloch2)
-    gap2 = _ball_gap(r2, ws)
+    gap2 = _ball_gap(r2, ws, pure2)
     _give(ws, r2)
     f = _own(ws, gap1)
     det_product = _div(_mul(gap1, gap2, f), 16.0, f)
@@ -312,12 +332,13 @@ def lambda_roots(u, v) -> LambdaRoots:
     return LambdaRoots((exp_plus / denom)[()], (1.0 / (exp_plus * denom))[()])
 
 
-def _closed_fidelity(dot, ru, rv, ws=None):
-    """Closed-form kernel from u.v and the two norms."""
+def _closed_fidelity(dot, ru, rv, ws=None, pure=None):
+    """Closed-form kernel from u.v and the two norms; ``pure`` as in _matrix_fidelity."""
+    pure_u, pure_v = (None, None) if pure is None else pure
     (out,) = _take(ws, 1)
     half = _mul(0.5, _add(1.0, dot, out), out)
-    gap = _ball_gap(ru, ws)
-    gap_v = _ball_gap(rv, ws)
+    gap = _ball_gap(ru, ws, pure_u)
+    gap_v = _ball_gap(rv, ws, pure_v)
     row = _own(ws, gap)
     root = _sqrt(_mul(gap, gap_v, row), row)
     fid = _add(half, _mul(0.5, root, row), out)

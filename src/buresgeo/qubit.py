@@ -803,7 +803,7 @@ def random_bloch_indexed(seed, regime: str, indices, stream: int = 0) -> np.ndar
     the azimuth's cosine and sine come from its half-angle tangent (see
     _direction) instead of sin and cos, so every vector, and with it
     every ``verify`` envelope, differs from version 1's.  The bits are
-    identical across runs, batches, block partitions and thread counts
+    identical across runs, batches, block partitions and stripe counts
     on one machine, but tan, cbrt, exp and log run as numpy vector
     kernels chosen by CPU dispatch, so they can differ in the last bits
     between CPUs with different SIMD extensions.

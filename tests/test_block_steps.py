@@ -216,8 +216,10 @@ def test_a_vanished_largest_eigenvalue_of_mixed_states_is_a_route_fault():
 
 def _routes_reference(u, v, ru, rv, hyperbolic):
     dot = _dot3(u, v)
-    f_closed = _closed_fidelity(dot, ru, rv)
-    f_matrix = measures._matrix_fidelity(_density_entries(*_xyz(u)), _density_entries(*_xyz(v)))
+    # Both routes zero the gap of the states whose given norm passes the threshold.
+    snap = (ru > _EXACT_PURE_NORM, rv > _EXACT_PURE_NORM)
+    f_closed = _closed_fidelity(dot, ru, rv, None, snap)
+    f_matrix = measures._matrix_fidelity(_density_entries(*_xyz(u)), _density_entries(*_xyz(v)), None, snap)
     pure = np.maximum(ru, rv) > PURE_NORM
     f_hyp = hyperbolic(
         np.where(pure, 0.0, dot), np.minimum(ru, PURE_NORM), np.minimum(rv, PURE_NORM)
@@ -315,7 +317,7 @@ def test_exact_sum_mantissa_equals_reference(values):
 @pytest.mark.parametrize("regime_v", REGIMES)
 @pytest.mark.parametrize("regime_u", REGIMES)
 def test_workspace_rows_give_the_same_bits(regime_u, regime_v):
-    # A sweep thread's workspace: row 0 holds the indices, rows 1-16 the
+    # A sweep stripe's workspace: row 0 holds the indices, rows 1-16 the
     # sampler's, and rows 7 onwards the route kernels', joined by the
     # sampler's output rows 1-6 once the density entries are formed.  Every
     # kernel must give the bits it gives without one, and put back every

@@ -148,6 +148,16 @@ class TestFidelityCommand:
                 assert code == 0 and err == "", i
                 assert parse(out)["result"]["f_matrix"] == report.f_matrix
 
+    def test_a_norm_next_to_the_pure_snap_is_no_theorem_violation(self, capsys):
+        # |u| rounds to just above the snap threshold, and the matrix
+        # route's norm, recovered from the density entries, just below it:
+        # each route used to decide alone, and they disagreed by 2.2e-7.
+        u = "--u=0.5900139412897726,-0.6585745229287693,0.4670793795840839"
+        v = "--v=-7.875431579090329e-05,6.140074283167204e-05,-5.263698702011465e-06"
+        code, out, err = run_cli(capsys, "fidelity", u, v)
+        assert (code, err) == (0, "")
+        assert parse(out)["result"]["max_pairwise_diff"] <= 1.25e-10
+
     def test_nan_spread_exits_one(self, capsys, monkeypatch):
         real = cli.verify_mod._compare
 
@@ -383,6 +393,35 @@ class TestClosedStdout:
             os.close(write)
         assert proc.returncode == cli.EXIT_PIPE == 141
         assert proc.stderr == "error: stdout closed before the envelope was written\n"
+
+    def test_a_striped_sweep_leaves_no_helper(self, tmp_path):
+        # Two stripes whatever the CPUs: the sweep's helper is forked,
+        # the exit flushes a closed stdout, and atexit reaps the helper.
+        script = (
+            "import sys; from buresgeo import cli, verify\n"
+            "verify._stripe_count = lambda blocks: min(blocks, 2)\n"
+            "code = cli.main(sys.argv[2:])\n"
+            "open(sys.argv[1], 'w').write(' '.join(map(str, verify._helpers.pids)))\n"
+            "sys.exit(code)\n"
+        )
+        pids = tmp_path / "pids"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(pids), "verify", "--trials", "100000"],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == cli.EXIT_PIPE == 141
+        assert proc.stderr == "error: stdout closed before the envelope was written\n"
+        helpers = [int(pid) for pid in pids.read_text().split()]
+        assert len(helpers) == 1
+        for pid in helpers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestNegativeComponents:

@@ -164,8 +164,8 @@ FAULTS = [
         # does not; a pure side's gap is 0, and stays 0.
         "_ball_gap x 1.001",
         "measures.py",
-        "    value = _where(_greater(r, _EXACT_PURE_NORM, mask), 0.0, gap, _own(ws, gap))",
-        "    value = _mul(_where(_greater(r, _EXACT_PURE_NORM, mask), 0.0, gap, _own(ws, gap)), 1.001, _own(ws, gap))",
+        "    value = _where(pure, 0.0, gap, _own(ws, gap))",
+        "    value = _mul(_where(pure, 0.0, gap, _own(ws, gap)), 1.001, _own(ws, gap))",
         NO_PURE_SIDE,
         True,
     ),
@@ -177,6 +177,16 @@ FAULTS = [
         "    pure = _greater(_maximum(ru, rv, high), PURE_NORM, mask)",
         "    pure = _greater(_minimum(ru, rv, high), PURE_NORM, mask)",
         [pair for pair in PAIRS if pair.split(" x ").count("pure") == 1],
+        False,
+    ),
+    (
+        # v's gap is then kept where v is pure: its 1 - |v|^2, a few ulps
+        # either side of 0, gives the closed route NaN or about 1e-8.
+        "_routes snaps v by u's norm",
+        "verify.py",
+        "    snap = (_effectively_pure(ru, snap_u), _effectively_pure(rv, snap_v))",
+        "    snap = (_effectively_pure(ru, snap_u), _effectively_pure(ru, snap_v))",
+        [f"{u} x pure" for u in REGIMES if u != "pure"],
         False,
     ),
 ]
@@ -222,25 +232,49 @@ UNSEEN_FAULTS = [
         # the hyperbolic route is masked wherever a side is pure.
         "_ball_gap snap 0 -> 1e-12",
         "measures.py",
-        "    value = _where(_greater(r, _EXACT_PURE_NORM, mask), 0.0, gap, _own(ws, gap))",
-        "    value = _where(_greater(r, _EXACT_PURE_NORM, mask), 1e-12, gap, _own(ws, gap))",
+        "    value = _where(pure, 0.0, gap, _own(ws, gap))",
+        "    value = _where(pure, 1e-12, gap, _own(ws, gap))",
         "test_measures.py::TestBuresFidelityClosed::test_pure_pair_is_half_one_plus_cos",
     ),
     (
         # A tie rule changes only which trial is reported as the worst.
         "_Reduction.add tie to the larger index",
         "verify.py",
-        "        rank = (nan, 0.0 if nan else value, -index)",
-        "        rank = (nan, 0.0 if nan else value, index)",
+        "        self._take_best((index, value), (nan, 0.0 if nan else value, -index))",
+        "        self._take_best((index, value), (nan, 0.0 if nan else value, index))",
         "test_verify.py::test_reduction_equals_one_array",
     ),
     (
         # A floor one place too high drops p99 candidates: it changes only the p99.
         "_Reduction.add floor one place too high",
         "verify.py",
-        "                self.floor = float(self.buffer[size - self.k])",
-        "                self.floor = float(self.buffer[size - self.k + 1])",
+        "            self.floor = float(self.buffer[size - self.k])",
+        "            self.floor = float(self.buffer[size - self.k + 1])",
         "test_verify.py::test_reduction_equals_one_array",
+    ),
+    (
+        # verify's 2000 trials fill one block, which needs no helper and no merge.
+        "_Reduction.merge drops a stripe's sum",
+        "verify.py",
+        "        self.total += total",
+        "        self.total += 0",
+        "test_verify.py::TestThreadedSweep::test_mean_is_rounded_once[2]",
+    ),
+    (
+        # Stopping early saves only time: every stripe still runs to its end.
+        "_stripe never stops early",
+        "verify.py",
+        "            if lo > failed[0]:",
+        "            if lo > trials:",
+        "test_verify.py::TestThreadedSweep::test_worker_failure_propagates_and_stops_every_thread",
+    ),
+    (
+        # Of several failing stripes, stripe 0's failure first: one stripe names the right trial.
+        "_run_stripes raises stripe 0's failure",
+        "verify.py",
+        "        raise min(failures, key=lambda failure: failure[0])[1]",
+        "        raise failures[0][1]",
+        "test_verify.py::TestThreadedSweep::test_a_helper_failure_below_the_callers_is_raised",
     ),
     (
         # Changes only which pairs are drawn; every route agrees on them.

@@ -3,11 +3,16 @@
 import functools
 import itertools
 import math
+import os
+import pickle
 import re
+import select
+import signal
+import subprocess
 import sys
-import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,8 @@ from hypothesis import strategies as st
 
 import buresgeo as bg
 from buresgeo import cli, measures, verify
-from buresgeo.measures import _RouteError
+from buresgeo.measures import _EXACT_PURE_NORM, _RouteError
+from buresgeo.qubit import _norm3, _xyz
 
 
 def _strip_elapsed(summary):
@@ -143,6 +149,51 @@ class TestRoutes:
                         assert report.f_hyperbolic == f_hyp[i], where
 
 
+# The largest spread measured with |u| at the snap threshold: 1.2414e-10
+# on 4e6 pairs with v = 0, where sqrt(1 - |v|^2) = 1 magnifies it most.
+# The gap 1 - |u|^2, about 2e-13 there, is taken from |u| by the closed
+# route and from the norm recovered from the density entries by the
+# matrix route, which differ in their last bit.
+_SNAP_BAND_SPREAD = 1.25e-10
+
+_directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: math.hypot(*d) > 0.1)
+_snap_band = st.integers(-64, 64).map(lambda k: _EXACT_PURE_NORM + k * 2.0**-53)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            _directions,
+            _snap_band,
+            _directions,
+            st.one_of(_snap_band, st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_norms_at_the_pure_snap_give_compare_the_sweep_bits(pairs):
+    # |u| within 64 ulps of the threshold, either side: both fidelity
+    # routes take one decision per state, so no pair fails fidelity's
+    # 1e-8 gate, and compare and the sweep kernels agree bit for bit.
+    def vector(d, r):
+        return np.array(d) * (r / math.hypot(*d))
+
+    u = np.array([vector(du, ru) for du, ru, _, _ in pairs])
+    v = np.array([vector(dv, rv) for _, _, dv, rv in pairs])
+    n = len(pairs)
+    f_matrix, f_closed, f_hyp, _ = verify._routes(u, v, _norm3(*_xyz(u)), _norm3(*_xyz(v)))
+    # The sweep's layout: component rows handed over to a pool of one block's free rows.
+    rows = np.stack([u.T, v.T])
+    spread = verify._route_spread(rows[0].T, rows[1].T, list(np.empty((verify._WORKSPACE_ROWS - 7, n))))
+    for i in range(n):
+        report = bg.compare(u[i], v[i])
+        assert (report.f_matrix, report.f_closed) == (f_matrix[i], f_closed[i])
+        assert report.f_hyperbolic is None and np.isnan(f_hyp[i]) or report.f_hyperbolic == f_hyp[i]
+        assert report.max_pairwise_diff == spread[i] <= _SNAP_BAND_SPREAD, (u[i].tolist(), v[i].tolist())
+
+
 class TestSweep:
     def test_single_trial(self):
         summary = bg.sweep(5, 1, "uniform_ball", "uniform_ball")
@@ -230,7 +281,7 @@ class TestSweep:
         def fail(*args, **kwargs):
             raise MemoryError
 
-        # One thread: a workspace of _WORKSPACE_ROWS rows of 10 trials, and
+        # One stripe: a workspace of _WORKSPACE_ROWS rows of 10 trials, and
         # 2k = 4 candidate doubles for the k = 10 - floor(9 * 0.99) = 2
         # largest, with room for one block of 10 more.
         monkeypatch.setattr(verify.np, "empty", fail)
@@ -257,11 +308,44 @@ class TestSweep:
 
 
 def _force_threads(monkeypatch, threads):
-    monkeypatch.setattr(verify, "_thread_count", lambda blocks: threads)
+    monkeypatch.setattr(verify, "_stripe_count", lambda blocks: threads)
+
+
+_PROC = Path("/proc")
+needs_proc = pytest.mark.skipif(not (_PROC / "self" / "stat").exists(), reason="reads process states from /proc")
+
+
+def _state(pid):
+    """The state letter of process pid, as /proc has it, or None once it is gone."""
+    try:
+        stat = (_PROC / str(pid) / "stat").read_text()
+    except OSError:
+        return None
+    return stat[stat.rindex(")") + 2]
+
+
+def _children():
+    """{pid: state} of every child process of this one, zombies included."""
+    children = {}
+    for entry in _PROC.iterdir():
+        try:
+            stat = (entry / "stat").read_text() if entry.name.isdigit() else ""
+        except OSError:
+            continue
+        if stat and int(stat[stat.rindex(")") + 2 :].split()[1]) == os.getpid():
+            children[int(entry.name)] = stat[stat.rindex(")") + 2]
+    return children
+
+
+def _assert_only_idle_helpers_remain():
+    """No child is left but the pool's helpers, each alive and waiting for its next stripe."""
+    children = _children()
+    assert set(children) == set(verify._helpers.pids)
+    assert "Z" not in children.values()
 
 
 class TestThreadedSweep:
-    """Blocks striped over threads give the serial summary, bit for bit."""
+    """Blocks striped over processes give the serial summary, bit for bit."""
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("block", [1000, 4096, 16384])
@@ -277,7 +361,7 @@ class TestThreadedSweep:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_mean_is_rounded_once(self, monkeypatch, threads):
-        # Rounded per block or per thread, 1 + 2**-53 ties to 1.0 and the
+        # Rounded per block or per stripe, 1 + 2**-53 ties to 1.0 and the
         # mean loses the 2**-52 that the exact sum keeps.
         spreads = np.array([1.0, 2.0**-53, 2.0**-53, 0.0, 0.0, 0.0])
         monkeypatch.setattr(verify, "_BLOCK", 2)
@@ -293,44 +377,77 @@ class TestThreadedSweep:
 
     def test_thread_count_follows_affinity_and_caps(self, monkeypatch):
         monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        assert verify._thread_count(1) == 1
-        assert verify._thread_count(3) == min(3, verify._MAX_THREADS)
-        assert verify._thread_count(10**6) == verify._MAX_THREADS
+        assert verify._stripe_count(1) == 1
+        assert verify._stripe_count(3) == min(3, verify._MAX_STRIPES)
+        assert verify._stripe_count(10**6) == verify._MAX_STRIPES
+        monkeypatch.delattr(verify.os, "fork", raising=False)
+        assert verify._stripe_count(10**6) == 1
+        monkeypatch.undo()
         monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-        assert verify._thread_count(10**6) == 1
+        assert verify._stripe_count(10**6) == 1
 
-    def test_worker_failure_propagates_and_stops_every_thread(self, monkeypatch, capsys):
+    @needs_proc
+    def test_worker_failure_propagates_and_stops_every_thread(self, monkeypatch, capsys, tmp_path):
+        # The first block, stripe 0's, fails; the helpers, started just
+        # before, must stop.  Every stripe's process appends a byte per
+        # block to one file, so the count of blocks run is taken across
+        # all of them.  A helper's failure is raised in the tests below.
         monkeypatch.setattr(verify, "_BLOCK", 1000)
         _force_threads(monkeypatch, 3)
         original = verify._route_spread
-        calls = itertools.count()
-        raised = []
+        marked = bg.random_bloch_indexed(0, "uniform_ball", 500, stream=0)[0]
+        log = tmp_path / "blocks"
+        calls = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
         def failing(u, v, ws=None):
-            if next(calls) == 2:
-                raised.append(ValueError("injected block failure"))
-                raise raised[-1]
+            os.write(calls, b".")
+            if np.any(u[:, 0] == marked):
+                raise ValueError("injected block failure")
             return original(u, v, ws)
 
         monkeypatch.setattr(verify, "_route_spread", failing)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="injected block failure") as excinfo:
-            bg.sweep(0, 100_000, "uniform_ball", "uniform_ball")
-        assert excinfo.value is raised[0]
-        assert threading.active_count() == before
-        # The other stripes stop at their next block, far short of all 100.
-        assert next(calls) <= 20
+        try:
+            with pytest.raises(ValueError) as excinfo:
+                bg.sweep(0, 100_000, "uniform_ball", "uniform_ball")
+            assert excinfo.type is ValueError and str(excinfo.value) == "injected block failure"
+            _assert_only_idle_helpers_remain()
+            # The other stripes stop at their next block past trial 0, far short of all 100.
+            assert log.stat().st_size <= 20
 
-        calls = itertools.count()
-        assert cli.main(["verify", "--trials", "100000"]) == cli.EXIT_USAGE
-        assert "injected block failure" in capsys.readouterr().err
-        assert threading.active_count() == before
+            assert cli.main(["verify", "--trials", "100000"]) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == "error: injected block failure\n"
+            _assert_only_idle_helpers_remain()
+        finally:
+            os.close(calls)
 
+    def test_a_helper_failure_below_the_callers_is_raised(self, monkeypatch):
+        # Stripe 1 fails in block 1 late, after stripe 0 has failed in
+        # block 2: the serial sweep's failure is block 1's, whichever
+        # stripe reports first.
+        monkeypatch.setattr(verify, "_BLOCK", 1000)
+        _force_threads(monkeypatch, 2)
+        original = verify._route_spread
+        first, second = bg.random_bloch_indexed(0, "uniform_ball", [1500, 2500], stream=0)[:, 0]
+
+        def failing(u, v, ws=None):
+            if np.any(u[:, 0] == first):
+                time.sleep(0.5)
+                raise ValueError("block 1")
+            if np.any(u[:, 0] == second):
+                raise ValueError("block 2")
+            return original(u, v, ws)
+
+        monkeypatch.setattr(verify, "_route_spread", failing)
+        with pytest.raises(ValueError, match="^block 1$"):
+            bg.sweep(0, 10_000, "uniform_ball", "uniform_ball")
+
+    @needs_proc
     def test_no_thread_outlives_a_sweep(self):
-        before = threading.active_count()
+        verify._helpers.close()
         summary = bg.sweep(8, 5 * verify._BLOCK, "near_pure", "uniform_ball")
-        assert threading.active_count() == before
+        assert len(verify._helpers.pids) == verify._stripe_count(5) - 1
+        _assert_only_idle_helpers_remain()
         assert _strip_elapsed(summary) == _single_call_summary(8, 5 * verify._BLOCK, "near_pure", "uniform_ball")
 
     def test_stress_with_frequent_thread_switches(self, monkeypatch):
@@ -349,6 +466,137 @@ class TestThreadedSweep:
                     break
         finally:
             sys.setswitchinterval(interval)
+
+
+_OWNER = """
+import os, sys, time
+from buresgeo import verify
+verify._stripe_count = lambda blocks: min(blocks, 3)
+verify.sweep(1, 4 * verify._BLOCK, "uniform_ball", "near_pure")
+print(*verify._helpers.pids, flush=True)
+if sys.argv[1] == "stay":
+    os.close(1)
+    time.sleep(60)
+"""
+
+
+def _owner(how):
+    """A process that sweeps in 3 stripes, prints its 2 helpers' pids, and then exits, or closes its stdout and stays."""
+    src = str(Path(bg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-c", _OWNER, how], env=env, stdout=subprocess.PIPE, text=True)
+
+
+class TestHelpers:
+    """The helper processes: reused while the code is the same, gone with their owner."""
+
+    def test_a_changed_binding_reaches_every_stripe(self, monkeypatch):
+        _force_threads(monkeypatch, 3)
+        monkeypatch.setattr(verify, "_BLOCK", 1000)
+        expected = _single_call_summary(4, 9000, "uniform_ball", "near_mixed")
+        assert _strip_elapsed(bg.sweep(4, 9000, "uniform_ball", "near_mixed")) == expected
+        helpers = list(verify._helpers.pids)
+        assert _strip_elapsed(bg.sweep(4, 9000, "uniform_ball", "near_mixed")) == expected
+        assert verify._helpers.pids == helpers  # reused
+        # Every stripe, each helper's included, must run the new kernel for the mean to be 1.
+        monkeypatch.setattr(verify, "_route_spread", lambda u, v, ws=None: np.ones(len(u)))
+        summary = bg.sweep(4, 9000, "uniform_ball", "near_mixed")
+        assert (summary.max_diff, summary.mean_diff, summary.worst_index) == (1.0, 1.0, 0)
+        assert not set(verify._helpers.pids) & set(helpers)
+        monkeypatch.undo()
+        _force_threads(monkeypatch, 3)
+        monkeypatch.setattr(verify, "_BLOCK", 1000)
+        assert _strip_elapsed(bg.sweep(4, 9000, "uniform_ball", "near_mixed")) == expected
+
+    def test_a_failing_fork_leaves_the_stripes_to_this_process(self, monkeypatch):
+        def fail():
+            raise BlockingIOError("no process slot")
+
+        verify._helpers.close()
+        monkeypatch.setattr(verify, "_BLOCK", 1000)
+        _force_threads(monkeypatch, 3)
+        monkeypatch.setattr(verify.os, "fork", fail)
+        summary = bg.sweep(6, 5000, "uniform_ball", "near_pure")
+        assert _strip_elapsed(summary) == _single_call_summary(6, 5000, "uniform_ball", "near_pure")
+        assert verify._helpers.pids == []
+
+    def test_without_fork_one_stripe_runs_here(self, monkeypatch):
+        verify._helpers.close()
+        monkeypatch.setattr(verify, "_BLOCK", 1000)
+        monkeypatch.delattr(verify.os, "fork")
+        summary = bg.sweep(6, 5000, "near_pure", "pure")
+        assert _strip_elapsed(summary) == _single_call_summary(6, 5000, "near_pure", "pure")
+        assert verify._helpers.pids == []
+
+    @needs_proc
+    def test_an_exception_pickle_cannot_carry_comes_back_as_a_runtime_error(self, monkeypatch):
+        class Local(Exception):
+            """pickle finds no class by this name, so a helper cannot send it as it is."""
+
+        monkeypatch.setattr(verify, "_BLOCK", 1000)
+        _force_threads(monkeypatch, 2)
+        original = verify._route_spread
+        marked = bg.random_bloch_indexed(0, "uniform_ball", 1500, stream=0)[0]  # in stripe 1's first block
+
+        def failing(u, v, ws=None):
+            if np.any(u[:, 0] == marked):
+                raise Local("raised in a helper")
+            return original(u, v, ws)
+
+        monkeypatch.setattr(verify, "_route_spread", failing)
+        with pytest.raises(RuntimeError, match=r"^Local: raised in a helper$"):
+            bg.sweep(0, 5000, "uniform_ball", "uniform_ball")
+        _assert_only_idle_helpers_remain()
+
+    def test_helpers_are_reaped_when_their_owner_exits(self):
+        with _owner("exit") as proc:
+            pids = [int(pid) for pid in proc.stdout.read().split()]
+        assert proc.returncode == 0 and len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    @needs_proc
+    def test_helpers_exit_on_end_of_file_when_their_owner_is_killed(self):
+        with _owner("stay") as proc:
+            try:
+                pids = [int(pid) for pid in proc.stdout.readline().split()]
+                assert len(pids) == 2 and all(_state(pid) not in (None, "Z") for pid in pids)
+                for pid in pids:
+                    ignored = (_PROC / str(pid) / "status").read_text().split("SigIgn:")[1].split()[0]
+                    assert int(ignored, 16) >> (signal.SIGINT - 1) & 1, ignored
+                # The owner has closed its stdout, and no helper holds it.
+                assert select.select([proc.stdout], [], [], 5.0)[0] and proc.stdout.read() == ""
+            finally:
+                proc.send_signal(signal.SIGKILL)
+        deadline = time.monotonic() + 1.0
+        while any(_state(pid) not in (None, "Z") for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert all(_state(pid) in (None, "Z") for pid in pids)
+
+    def test_a_forked_child_closes_its_copies_of_the_helper_pipes(self, monkeypatch):
+        _force_threads(monkeypatch, 3)
+        bg.sweep(5, 3 * verify._BLOCK, "pure", "uniform_ball")
+        pipes = [pipe.fileno() for pipe in verify._helpers.requests + verify._helpers.replies]
+        assert len(pipes) == 4
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                closed = []
+                for fd in pipes:
+                    try:
+                        os.fstat(fd)
+                    except OSError:
+                        closed.append(fd)
+                helpers = verify._helpers
+                code = 0 if closed == pipes and helpers.pids == [] and helpers.failed is None else 1
+            finally:
+                os._exit(code)
+        assert os.waitpid(pid, 0)[1] == 0
+        # The owner's own ends are still open.
+        for fd in pipes:
+            os.fstat(fd)
 
 
 def _scaled_gap(monkeypatch):
@@ -378,6 +626,26 @@ def _negative_eigenvalue(monkeypatch):
 
 class TestRouteFaultLocation:
     """A route fault inside a sweep names its trial, whose pair reproduces the fault."""
+
+    def test_the_error_survives_a_pickle_round_trip(self):
+        error = pickle.loads(pickle.dumps(_RouteError("closed-route fidelity 1.5 lies outside [0, 1]", 12345)))
+        assert type(error) is _RouteError
+        assert (str(error), error.index) == ("closed-route fidelity 1.5 lies outside [0, 1]", 12345)
+
+    @pytest.mark.parametrize("fault, seed", [(_scaled_gap, 3), (_negative_eigenvalue, 2)], ids=["closed", "psd"])
+    def test_every_stripe_count_names_the_serial_trial(self, monkeypatch, fault, seed):
+        # The first failing trial lies in a later block than the first;
+        # with 4 stripes its stripe is not the caller's.
+        monkeypatch.setattr(verify, "_BLOCK", 1000)
+        fault(monkeypatch)
+        messages = []
+        for threads in (1, 2, 3, 4):
+            _force_threads(monkeypatch, threads)
+            with pytest.raises(_RouteError) as raised:
+                bg.sweep(seed, 100_000, "uniform_ball", "near_mixed")
+            messages.append((str(raised.value), raised.value.index))
+        assert messages == [messages[0]] * 4, messages
+        assert messages[0][1] >= 1000
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("fault, seed", [(_scaled_gap, 3), (_negative_eigenvalue, 2)], ids=["closed", "psd"])
